@@ -96,6 +96,16 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
         raise CliUsageError(message)
@@ -120,7 +130,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--tol-f", type=float, default=1e-10)
     p.add_argument("--tol-res", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the trace CSV here")
     p.add_argument("--trace-every", type=int, default=1)
 
@@ -275,6 +285,8 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.starts < 1:
+        raise CliUsageError("--starts must be >= 1")
     man = build_manifold(args)
     preset = PRESETS.get(getattr(args, "preset", None) or "", None)
     psi_text = args.psi if args.psi is not None else (preset["psi"] if preset else None)
@@ -337,7 +349,7 @@ def _build_parser() -> _Parser:
     p_gauss.add_argument("--max-steps", type=int, default=1_000_000)
     p_gauss.add_argument("--tol-f", type=float, default=1e-10)
     p_gauss.add_argument("--tol-res", type=float, default=1e-8)
-    p_gauss.add_argument("--seed", type=int, default=0)
+    p_gauss.add_argument("--seed", type=_seed, default=0)
     p_gauss.add_argument("--out")
     p_gauss.add_argument("--trace-every", type=int, default=1)
     p_gauss.set_defaults(func=cmd_gauss)
@@ -356,13 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CurvFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CurvFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

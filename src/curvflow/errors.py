@@ -12,6 +12,10 @@ class CurvFlowError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(CurvFlowError, ValueError):
+    """Run or estimator parameter outside its valid range."""
+
+
 class InvalidGridSpec(CurvFlowError):
     """Periodic grid request with bad counts/lengths."""
 

@@ -17,6 +17,16 @@ a direct consistency check of the scheme.
 Quantities logged per trace row: r, the drift, u and R extrema, the decay
 functional f = \\int (R - r)^2 u^{p+1} dv (which satisfies dr/dt = -2 f
 along exact trajectories) and the stationarity residual in max norm.
+
+The run loop and both public steppers go through private kernels:
+_settle checks an update once and projects it, forming u^{p+1} once per
+normalization pass; _diagnose reuses that power for R, f and the
+residual; the imex Newton matrix is written into a sparsity pattern built
+once per run.  The kernels repeat the arithmetic of the public helpers
+(normalize, rayleigh_r, pseudo_scalar_curvature, make_flow_state,
+f_diagnostic) operation for operation, so a run is bit-identical to one
+composed from those helpers, which remain the reference the tests check
+the kernels against.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .errors import (
+    ConfigError,
     CurvFlowError,
     IllConditionedInitialData,
     NewtonNoConvergence,
@@ -119,18 +130,18 @@ class FlowConfig:
 
     def validate(self) -> "FlowConfig":
         if self.scheme not in ("explicit", "imex"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}")
         for name in ("dt0", "safety", "tol_f", "tol_res", "t_max"):
             if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if self.max_steps < 0 or self.max_halvings < 0:
-            raise ValueError("max_steps and max_halvings must be nonnegative")
+            raise ConfigError("max_steps and max_halvings must be nonnegative")
         if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
+            raise ConfigError("trace_every must be >= 1")
         if not (self.p > 1):
-            raise ValueError("p must exceed 1")
+            raise ConfigError("p must exceed 1")
         if not (self.c > 0):
-            raise ValueError("c must be positive")
+            raise ConfigError("c must be positive")
         return self
 
 
@@ -234,13 +245,68 @@ def make_flow_state(
                      norm_err=float(norm_err))
 
 
-def _project(man: DiscreteManifold, u: np.ndarray, p: float) -> np.ndarray:
-    """Projection used after every accepted step, with a hard drift guarantee."""
-    u = normalize(man, u, p)
-    drift = integrate(man, u ** (p + 1.0)) - 1.0
+def _diagnose(
+    man: DiscreteManifold, psi: np.ndarray, state: FlowState, upw: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """R, f and the stationarity residual of a state, given upw = u^{p+1}.
+
+    Same arithmetic as pseudo_scalar_curvature and f_diagnostic, without
+    re-validating the field.
+    """
+    u, p = state.u, state.p
+    lap = -(man.stiffness @ u) / man.mass
+    R = u ** (-p) * (-state.c * lap + psi * u)
+    dev = R - state.r
+    f = float(np.dot(man.mass, dev * dev * upw))
+    res = float(np.abs(upw / u * dev).max())  # u^p (R - r)
+    return R, f, res
+
+
+def _settle(
+    man: DiscreteManifold,
+    psi: np.ndarray,
+    state: FlowState,
+    dt: float,
+    unew: np.ndarray,
+    scheme: str,
+) -> tuple[FlowState, np.ndarray, float]:
+    """Check an accepted update of `state` and project it onto the constraint.
+
+    Reproduces normalize, the drift check and make_flow_state operation
+    for operation, but checks the update once and forms u^{p+1} once per
+    projection pass.  Returns (state, u^{p+1}, u.min()); the middle one
+    is what _diagnose needs.
+    """
+    m = float(unew.min())
+    if m <= 0.0:
+        raise StepRejectedPositivity(f"{scheme} step dt={dt:.3e} lost positivity")
+    if math.isnan(m):
+        raise NonPositiveField("u must be strictly positive everywhere")
+    p, mass = state.p, man.mass
+    q = p + 1.0
+    e = 1.0 / q
+    u, u_min, upw = unew, m, unew**q
+    s = float(np.dot(mass, upw))
+    norm_err = s - 1.0
+    for _ in range(2):
+        if s == 0 or not math.isfinite(s):
+            raise ZeroDenominator(f"constraint integral is {s}")
+        k = s**e
+        u = u / k
+        u_min = u_min / k  # rounding is monotone, so this is exactly u.min()
+        upw = u**q
+        s = float(np.dot(mass, upw))
+    drift = s - 1.0
     if abs(drift) > 1e-13:
         raise CurvFlowError(f"projection left constraint drift {drift:.3e}")
-    return u
+    if s == 0 or not math.isfinite(s):
+        raise ZeroDenominator(f"constraint integral is {s}")
+    ei, ej, w = man._edges
+    d = u[ei] - u[ej]
+    r = (state.c * float(np.dot(w, d * d)) + float(np.dot(mass, psi * u * u))) / s
+    new = FlowState(u=u, t=float(state.t + dt), step=state.step + 1, p=p, c=state.c, r=r,
+                    norm_err=norm_err)
+    return new, upw, u_min
 
 
 def _explicit_update(
@@ -249,15 +315,9 @@ def _explicit_update(
     state: FlowState,
     dt: float,
     R: np.ndarray,
-) -> FlowState:
+) -> tuple[FlowState, np.ndarray, float]:
     # u^{1-p}(c Lap u - psi u) = -R u, so the update is u (1 + dt (r - R))
-    unew = state.u * (1.0 + dt * (state.r - R))
-    if unew.min() <= 0.0:
-        raise StepRejectedPositivity(f"explicit step dt={dt:.3e} lost positivity")
-    norm_err = integrate(man, unew ** (state.p + 1.0)) - 1.0
-    u = _project(man, unew, state.p)
-    return make_flow_state(man, psi, u, state.t + dt, state.step + 1,
-                           state.p, state.c, norm_err=norm_err)
+    return _settle(man, psi, state, dt, state.u * (1.0 + dt * (state.r - R)), "explicit")
 
 
 def step_explicit(
@@ -266,12 +326,45 @@ def step_explicit(
     """One explicit Euler step followed by projection onto the constraint."""
     psi = np.asarray(psi, dtype=float)
     R = pseudo_scalar_curvature(man, state.u, psi, state.c, state.p)
-    return _explicit_update(man, psi, state, dt, R)
+    return _explicit_update(man, psi, state, dt, R)[0]
 
 
 def _imex_operator(man: DiscreteManifold, psi: np.ndarray, c: float) -> sparse.csr_matrix:
     # A u = -(c Lap u - psi u) * mass  (weak form of the stiff part)
     return (c * man.stiffness + sparse.diags(man.mass * psi)).tocsr()
+
+
+class _JacobianPattern:
+    """The imex Newton matrix diag(M) + pdt A diag(du/dw), assembled once.
+
+    Its CSC slots are A's entries plus every diagonal entry, so one
+    pattern serves every dt and every Newton iterate of a run; fill only
+    rewrites the values, in place, so each fill overwrites the matrix the
+    previous one returned.  The result equals the sparse-algebra sum slot
+    for slot unless an entry rounds to exactly 0, which that sum would
+    have dropped from its pattern.
+    """
+
+    def __init__(self, A: sparse.csr_matrix):
+        n = A.shape[0]
+        idx = np.arange(n)
+        coo = A.tocoo()
+        self.matrix = sparse.csc_matrix(
+            (np.concatenate([coo.data, np.zeros(n)]),
+             (np.concatenate([coo.row, idx]), np.concatenate([coo.col, idx]))),
+            shape=A.shape,
+        )
+        self._a = self.matrix.data.copy()  # A's values, 0 where A has no entry
+        self._col = np.repeat(idx, np.diff(self.matrix.indptr))
+        self._diag = np.flatnonzero(self.matrix.indices == self._col)  # ordered by column
+
+    def fill(self, mass: np.ndarray, pdt: float, dudw: np.ndarray) -> sparse.csc_matrix:
+        # same rounding as diags(mass) + pdt * (A @ diags(dudw)), entry by entry
+        vals = self.matrix.data
+        np.multiply(self._a, dudw[self._col], out=vals)
+        vals *= pdt
+        vals[self._diag] += mass
+        return self.matrix
 
 
 def _imex_update(
@@ -280,10 +373,11 @@ def _imex_update(
     state: FlowState,
     dt: float,
     A: sparse.csr_matrix,
+    jac: _JacobianPattern,
     newton_tol: float = 1e-12,
     newton_max_iter: int = 50,
-) -> FlowState:
-    p, c = state.p, state.c
+) -> tuple[FlowState, np.ndarray, float]:
+    p = state.p
     mass = man.mass
     w_old = state.u**p
     # (w+ - w)/dt = p (c Lap u+ - psi u+ + r w)  with u+ = (w+)^{1/p}, r
@@ -291,16 +385,15 @@ def _imex_update(
     # u-form of the flow, so both schemes discretize one ODE
     pdt = p * dt
     target = w_old * (1.0 + pdt * state.r)
-    scale = max(1.0, float(np.max(np.abs(target))))
+    scale = max(1.0, float(np.abs(target).max()))
     w = w_old.copy()
     for _ in range(newton_max_iter):
         u = w ** (1.0 / p)
         F = w + pdt * (A @ u) / mass - target
-        if float(np.max(np.abs(F))) <= newton_tol * scale:
+        if float(np.abs(F).max()) <= newton_tol * scale:
             break
         dudw = (1.0 / p) * w ** (1.0 / p - 1.0)
-        B = sparse.diags(mass) + pdt * (A @ sparse.diags(dudw))
-        delta = spsolve(B.tocsc(), -mass * F)
+        delta = spsolve(jac.fill(mass, pdt, dudw), -mass * F)
         w = w + delta
         if w.min() <= 0.0:
             raise StepRejectedPositivity(f"imex Newton iterate lost positivity at dt={dt:.3e}")
@@ -308,11 +401,8 @@ def _imex_update(
         raise NewtonNoConvergence(
             f"imex inner Newton did not reach {newton_tol:.1e} in {newton_max_iter} iterations"
         )
-    unew = w ** (1.0 / p)
-    norm_err = integrate(man, unew ** (p + 1.0)) - 1.0
-    u = _project(man, unew, p)
-    return make_flow_state(man, psi, u, state.t + dt, state.step + 1, p, c,
-                           norm_err=norm_err)
+    # u = w^{1/p} of the converged iterate
+    return _settle(man, psi, state, dt, u, "imex")
 
 
 def step_imex(
@@ -327,7 +417,17 @@ def step_imex(
     psi = np.asarray(psi, dtype=float)
     _positive_field(man, state.u)
     A = _imex_operator(man, psi, state.c)
-    return _imex_update(man, psi, state, dt, A)
+    return _imex_update(man, psi, state, dt, A, _JacobianPattern(A))[0]
+
+
+def _stable_dt(
+    man: DiscreteManifold, u_min: float, p: float, c: float, safety: float,
+    dt_max: float | None,
+) -> float:
+    dt = safety * u_min ** (p - 1.0) * man._min_mass / (c * man._max_stiffness_diagonal)
+    if dt_max is not None:
+        dt = min(dt, dt_max)
+    return max(dt, 1e-12)
 
 
 def adaptive_dt(
@@ -344,12 +444,7 @@ def adaptive_dt(
     umin = float(state.u.min())
     if umin <= 0:
         raise NonPositiveField("state field must be positive")
-    dt = safety * umin ** (state.p - 1.0) * float(man.mass.min()) / (
-        state.c * man._max_stiffness_diagonal
-    )
-    if dt_max is not None:
-        dt = min(dt, dt_max)
-    return max(dt, 1e-12)
+    return _stable_dt(man, umin, state.p, state.c, safety, dt_max)
 
 
 def sigma_shift(R0: np.ndarray) -> float:
@@ -368,29 +463,20 @@ def f_diagnostic(
     return integrate(man, (R - r) ** 2 * np.asarray(u, dtype=float) ** (p + 1.0))
 
 
-def _diagnostics(
-    man: DiscreteManifold, psi: np.ndarray, state: FlowState
-) -> tuple[np.ndarray, float, float]:
-    """R, f and the stationarity residual for one state (single stiffness pass)."""
-    R = pseudo_scalar_curvature(man, state.u, psi, state.c, state.p)
-    upw = state.u ** (state.p + 1.0)
-    dev = R - state.r
-    f = float(np.dot(man.mass, dev * dev * upw))
-    res = float(np.max(np.abs(upw / state.u * dev)))  # u^p (R - r)
-    return R, f, res
-
-
-def _record(state: FlowState, dt: float, R: np.ndarray, f: float, res: float) -> TraceRecord:
+def _record(
+    state: FlowState, dt: float, f: float, res: float, u_min: float, R_min: float,
+    R: np.ndarray,
+) -> TraceRecord:
     return TraceRecord(
         step=state.step,
         t=state.t,
         dt=dt,
         r=state.r,
         norm_err=state.norm_err,
-        u_min=float(state.u.min()),
+        u_min=u_min,
         u_max=float(state.u.max()),
         f=f,
-        R_min=float(R.min()),
+        R_min=R_min,
         R_max=float(R.max()),
         res_linf=res,
     )
@@ -439,10 +525,14 @@ def run_flow(
             f"normalized initial field has min {u.min():.3e} < 1e-10"
         )
     state = make_flow_state(man, psi, u, 0.0, 0, cfg.p, cfg.c)
-    R, f, res = _diagnostics(man, psi, state)
+    R, f, res = _diagnose(man, psi, state, state.u ** (state.p + 1.0))
+    u_min, R_min = float(state.u.min()), float(R.min())
     sigma = sigma_shift(R)
-    trace = [_record(state, 0.0, R, f, res)]
-    A = _imex_operator(man, psi, cfg.c) if cfg.scheme == "imex" else None
+    trace = [_record(state, 0.0, f, res, u_min, R_min, R)]
+    A = jac = None
+    if cfg.scheme == "imex":
+        A = _imex_operator(man, psi, state.c)
+        jac = _JacobianPattern(A)
 
     stop = None
     last_dt = 0.0
@@ -459,38 +549,39 @@ def run_flow(
             break
 
         if cfg.scheme == "explicit":
-            dt = adaptive_dt(man, state, cfg.safety, dt_max=cfg.dt0)
+            dt = _stable_dt(man, u_min, state.p, state.c, cfg.safety, cfg.dt0)
         else:
             dt = cfg.dt0
         dt = min(dt, remaining)
 
-        new_state = None
+        settled = None
         for _ in range(cfg.max_halvings + 1):
             try:
                 if cfg.scheme == "explicit":
-                    new_state = _explicit_update(man, psi, state, dt, R)
+                    settled = _explicit_update(man, psi, state, dt, R)
                 else:
-                    new_state = _imex_update(man, psi, state, dt, A)
+                    settled = _imex_update(man, psi, state, dt, A, jac)
                 break
             except StepRejectedPositivity:
                 dt *= 0.5
-        if new_state is None:
+        if settled is None:
             stop = STOP_POSITIVITY
             break
 
-        state = new_state
+        state, upw, u_min = settled
         last_dt = dt
-        R, f, res = _diagnostics(man, psi, state)
-        if float(R.min()) + sigma < 1.0 - 1e-6 * sigma:
+        R, f, res = _diagnose(man, psi, state, upw)
+        R_min = float(R.min())
+        if R_min + sigma < 1.0 - 1e-6 * sigma:
             log.warning(
                 "shifted-curvature bound grazed at step %d: min R + sigma = %.6e",
-                state.step, float(R.min()) + sigma,
+                state.step, R_min + sigma,
             )
         if state.step % cfg.trace_every == 0:
-            trace.append(_record(state, dt, R, f, res))
+            trace.append(_record(state, dt, f, res, u_min, R_min, R))
 
     if trace[-1].step != state.step:
-        trace.append(_record(state, last_dt, R, f, res))
+        trace.append(_record(state, last_dt, f, res, u_min, R_min, R))
 
     return FlowResult(
         final=state,

@@ -84,6 +84,10 @@ class DiscreteManifold:
         return float(self.stiffness.diagonal().max())
 
     @cached_property
+    def _min_mass(self) -> float:
+        return float(self.mass.min())
+
+    @cached_property
     def bbox_diameter(self) -> float:
         spans = self.coordinates.max(axis=0) - self.coordinates.min(axis=0)
         return float(np.sqrt(np.sum(spans**2)))
@@ -217,10 +221,14 @@ def load_off_mesh(path: str) -> DiscreteManifold:
     Builds the cotangent stiffness matrix and barycentric lumped mass
     (one third of the incident triangle area per vertex).  Rejects
     non-triangle faces, (near-)degenerate triangles, and meshes that are
-    not closed (every edge must bound exactly two triangles).
+    not closed (every edge must bound exactly two triangles).  A file that
+    cannot be read as UTF-8 text raises MeshFormatError as well.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(f"cannot read {path}: {exc}") from exc
     lines = _off_tokens(text)
     if not lines or lines[0][0].split() != ["OFF"]:
         raise MeshFormatError("missing OFF header")

@@ -277,8 +277,18 @@ def _eval(node: Node, coords: np.ndarray, ambient: int):
 
 
 def evaluate(spec: PsiSpec, man: DiscreteManifold) -> np.ndarray:
-    """Evaluate the potential at every node; returns a float array of length node_count."""
-    out = _eval(spec.ast, man.coordinates, man.ambient_dim)
+    """Evaluate the potential at every node; returns a float array of length node_count.
+
+    Raises EvalDomainError when the potential is not finite at some node
+    (e.g. exp overflowing), since no flow can start from such a potential.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval(spec.ast, man.coordinates, man.ambient_dim)
     if np.isscalar(out) or np.ndim(out) == 0:
-        return np.full(man.node_count, float(out))
-    return np.asarray(out, dtype=float)
+        out = np.full(man.node_count, float(out))
+    else:
+        out = np.asarray(out, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise EvalDomainError(f"potential is not finite at {bad} of {out.size} nodes")
+    return out

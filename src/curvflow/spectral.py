@@ -30,6 +30,7 @@ from scipy.sparse.linalg import spsolve
 
 from . import flow as flowmod
 from .errors import (
+    ConfigError,
     CurvFlowError,
     EigenNoConvergence,
     InnerSolverFailure,
@@ -200,9 +201,9 @@ def estimate_Y(
     """
     psi = np.asarray(psi, dtype=float)
     if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+        raise ConfigError("n_starts must be >= 1")
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise ConfigError("scale must be positive")
     if cfg is None:
         cfg = flowmod.FlowConfig(scheme="imex", dt0=1e-3, t_max=200.0, p=p, c=c)
     best = math.inf

@@ -108,6 +108,14 @@ def octahedron(octahedron_path):
 
 
 @pytest.fixture(scope="session")
+def icosphere3(tmp_path_factory):
+    verts, faces = make_icosphere(3)
+    path = tmp_path_factory.mktemp("mesh") / "icosphere3.off"
+    write_off(path, verts, faces)
+    return load_off_mesh(str(path))
+
+
+@pytest.fixture(scope="session")
 def icosphere4(tmp_path_factory):
     verts, faces = make_icosphere(4)
     path = tmp_path_factory.mktemp("mesh") / "icosphere4.off"

@@ -177,3 +177,33 @@ def test_log_env_var():
                   "--tmax", "0.01", env_extra={"CURVFLOW_LOG": "info"})
     assert res.returncode == 0
     assert "INFO curvflow.gauss" in res.stderr
+
+
+def _binary_off(tmp_path):
+    path = tmp_path / "binary.off"
+    path.write_bytes(b"OFF\n\xff\xfe\x00\x01\x02")
+    return str(path)
+
+
+BAD_INPUTS = {
+    "p-below-1": lambda tmp: ("run", "--preset", "thm2", "--p", "0.5"),
+    "trace-every-0": lambda tmp: ("run", "--preset", "thm2", "--trace-every", "0"),
+    "max-steps-negative": lambda tmp: ("run", "--preset", "thm2", "--max-steps", "-1"),
+    "psi-overflow": lambda tmp: ("run", "--torus", f"16:{TWO_PI_STR}", "--psi", "exp(1000*x1)"),
+    "sweep-no-starts": lambda tmp: ("sweep", "--preset", "thm2", "--starts", "0"),
+    "seed-negative": lambda tmp: ("run", "--preset", "thm2", "--seed", "-1"),
+    "off-directory": lambda tmp: ("eigen", "--off", str(tmp), "--psi", "1"),
+    "off-binary": lambda tmp: ("eigen", "--off", _binary_off(tmp), "--psi", "1"),
+    "out-directory": lambda tmp: ("run", "--torus", "16:1", "--psi", "-1", "--max-steps", "1",
+                                  "--out", str(tmp)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_gives_one_error_line(case, tmp_path):
+    res = run_cli(*BAD_INPUTS[case](tmp_path))
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith("error:")
+    assert "Traceback" not in res.stderr

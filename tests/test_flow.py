@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -5,8 +6,12 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
+from curvflow import flow
 from curvflow.errors import (
+    ConfigError,
     IllConditionedInitialData,
     NonPositiveField,
     StepRejectedPositivity,
@@ -34,6 +39,7 @@ from curvflow.flow import (
     trace_column,
     write_trace_csv,
 )
+from curvflow.manifold import integrate
 from curvflow.spectral import lambda1, lognormal_field
 
 from conftest import TWO_PI, circle
@@ -371,6 +377,8 @@ def test_config_validation():
         FlowConfig(c=0.0).validate()
     with pytest.raises(ValueError):
         FlowConfig(trace_every=0).validate()
+    with pytest.raises(ConfigError):
+        FlowConfig(max_steps=-1).validate()
     FlowConfig().validate()
 
 
@@ -423,3 +431,189 @@ def test_normalize_scale_invariance_property(seed, scale, circle64):
     a = normalize(circle64, u, 3.0)
     b = normalize(circle64, scale * u, 3.0)
     np.testing.assert_allclose(a, b, rtol=1e-13)
+
+
+# --- step kernels against the public helpers -------------------------------
+#
+# The run loop and the steppers go through private kernels (_settle,
+# _diagnose, the imex Jacobian pattern).  They must reproduce the public
+# helpers bit for bit; the references below are the step composed from
+# those helpers, and for imex the Newton matrix assembled with sparse
+# algebra as diags(M) + pdt A diags(du/dw).
+
+
+def _kernel_case(man):
+    x = man.coordinates[:, 0]
+    psi = -1.0 + 0.3 * np.cos(2.0 * x)
+    u = normalize(man, lognormal_field(man, 11), 3.0)
+    return psi, make_flow_state(man, psi, u, t=0.5, step=7)
+
+
+def _reference_settle(man, psi, state, dt, unew):
+    p, c = state.p, state.c
+    norm_err = integrate(man, unew ** (p + 1.0)) - 1.0
+    u = normalize(man, unew, p)
+    assert abs(integrate(man, u ** (p + 1.0)) - 1.0) <= 1e-13
+    new = make_flow_state(man, psi, u, state.t + dt, state.step + 1, p, c, norm_err)
+    R = pseudo_scalar_curvature(man, u, psi, c, p)
+    f = f_diagnostic(man, u, psi, c, p)
+    res = float(np.max(np.abs(u ** (p + 1.0) / u * (R - new.r))))  # trace's res_linf
+    return new, R, f, res
+
+
+def _reference_newton_matrix(A, mass, pdt, dudw):
+    return (sparse.diags(mass) + pdt * (A @ sparse.diags(dudw))).tocsc()
+
+
+def _reference_imex(man, psi, state, dt):
+    p = state.p
+    A = (state.c * man.stiffness + sparse.diags(man.mass * psi)).tocsr()
+    mass = man.mass
+    w_old = state.u**p
+    pdt = p * dt
+    target = w_old * (1.0 + pdt * state.r)
+    scale = max(1.0, float(np.max(np.abs(target))))
+    w = w_old.copy()
+    for _ in range(50):
+        F = w + pdt * (A @ w ** (1.0 / p)) / mass - target
+        if float(np.max(np.abs(F))) <= 1e-12 * scale:
+            break
+        dudw = (1.0 / p) * w ** (1.0 / p - 1.0)
+        w = w + spsolve(_reference_newton_matrix(A, mass, pdt, dudw), -mass * F)
+    return _reference_settle(man, psi, state, dt, w ** (1.0 / p))
+
+
+def _assert_bitwise(got, want):
+    (state, R, f, res, u_min), (ref, R_ref, f_ref, res_ref) = got, want
+    assert np.array_equal(state.u, ref.u)
+    assert np.array_equal(R, R_ref)
+    assert (state.t, state.step, state.p, state.c) == (ref.t, ref.step, ref.p, ref.c)
+    assert state.r == ref.r
+    assert state.norm_err == ref.norm_err
+    assert f == f_ref
+    assert res == res_ref
+    assert u_min == ref.u.min()
+
+
+def _through_kernels(man, psi, state, dt, update, *args):
+    new, upw, u_min = update(man, psi, state, dt, *args)
+    R, f, res = flow._diagnose(man, psi, new, upw)
+    return new, R, f, res, u_min
+
+
+MESHES = ["circle128", "torus2d", "octahedron"]
+
+
+@pytest.mark.parametrize("mesh", MESHES)
+def test_explicit_kernel_matches_public_helpers(mesh, request):
+    man = request.getfixturevalue(mesh)
+    psi, state = _kernel_case(man)
+    dt = 0.2 * adaptive_dt(man, state, 0.25)
+    R0 = pseudo_scalar_curvature(man, state.u, psi, state.c, state.p)
+    want = _reference_settle(man, psi, state, dt, state.u * (1.0 + dt * (state.r - R0)))
+    got = _through_kernels(man, psi, state, dt, flow._explicit_update, R0)
+    _assert_bitwise(got, want)
+    public = step_explicit(man, psi, state, dt)
+    assert np.array_equal(public.u, want[0].u) and public.r == want[0].r
+
+
+@pytest.mark.parametrize("mesh", MESHES)
+def test_imex_kernel_matches_assembled_newton(mesh, request):
+    man = request.getfixturevalue(mesh)
+    psi, state = _kernel_case(man)
+    dt = 1e-2
+    A = flow._imex_operator(man, psi, state.c)
+    jac = flow._JacobianPattern(A)
+    want = _reference_imex(man, psi, state, dt)
+    got = _through_kernels(man, psi, state, dt, flow._imex_update, A, jac)
+    _assert_bitwise(got, want)
+    public = step_imex(man, psi, state, dt)
+    assert np.array_equal(public.u, want[0].u) and public.r == want[0].r
+    # the filled pattern is the assembled matrix, slot for slot
+    dudw = np.linspace(0.5, 2.0, man.node_count)
+    for pdt in (3e-2, 1e-7):
+        ref = _reference_newton_matrix(A, man.mass, pdt, dudw)
+        filled = jac.fill(man.mass, pdt, dudw)
+        assert np.array_equal(filled.indptr, ref.indptr)
+        assert np.array_equal(filled.indices, ref.indices)
+        assert np.array_equal(filled.data, ref.data)
+
+
+def test_jacobian_pattern_keeps_missing_diagonal(circle64):
+    # c S_ii + M_i psi_i cancels to 0 at a node, so A stores no diagonal
+    # there while the Newton matrix still needs the mass entry
+    man = circle64
+    psi = np.zeros(64)
+    psi[3] = -man.stiffness[3, 3] / man.mass[3]
+    A = flow._imex_operator(man, psi, 1.0)
+    assert A[3, 3] == 0 and A.nnz == 3 * 64 - 1
+    dudw = np.linspace(0.5, 2.0, 64)
+    filled = flow._JacobianPattern(A).fill(man.mass, 0.1, dudw).toarray()
+    assert np.array_equal(filled, _reference_newton_matrix(A, man.mass, 0.1, dudw).toarray())
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "imex"])
+def test_run_loop_first_row_matches_public_helpers(scheme, circle128):
+    man = circle128
+    psi = -1.0 + 0.3 * np.cos(man.coordinates[:, 0])
+    u0 = lognormal_field(man, 2)
+    cfg = FlowConfig(scheme=scheme, dt0=1e-3, max_steps=1)
+    res = run_flow(man, psi, u0, cfg)
+    state = make_flow_state(man, psi, normalize(man, u0, 3.0))
+    if scheme == "explicit":
+        dt = adaptive_dt(man, state, cfg.safety, dt_max=cfg.dt0)
+        R0 = pseudo_scalar_curvature(man, state.u, psi, state.c, state.p)
+        ref, R, f, r_res = _reference_settle(
+            man, psi, state, dt, state.u * (1.0 + dt * (state.r - R0)))
+    else:
+        dt = cfg.dt0
+        ref, R, f, r_res = _reference_imex(man, psi, state, dt)
+    want = flow.TraceRecord(step=1, t=ref.t, dt=dt, r=ref.r, norm_err=ref.norm_err,
+                            u_min=ref.u.min(), u_max=ref.u.max(), f=f, R_min=R.min(),
+                            R_max=R.max(), res_linf=r_res)
+    assert res.trace[-1] == want
+    assert np.array_equal(res.final.u, ref.u)
+
+
+def test_settle_checks_fire(circle64):
+    man = circle64
+    psi, state = _kernel_case(man)
+
+    def settle(unew):
+        return flow._settle(man, psi, state, 1e-3, unew, "explicit")
+
+    bad = state.u.copy()
+    bad[5] = np.nan
+    with pytest.raises(NonPositiveField):
+        settle(bad)
+    bad[5] = -1e-3
+    with pytest.raises(StepRejectedPositivity):
+        settle(bad)
+    bad[5] = 0.0
+    with pytest.raises(StepRejectedPositivity):
+        settle(bad)
+    with pytest.raises(ZeroDenominator):
+        settle(np.full(64, 1e-100))  # u^{p+1} underflows: the integral is 0
+    bad = state.u.copy()
+    bad[5] = np.inf
+    with pytest.raises(ZeroDenominator):
+        settle(bad)
+    # a NaN r poisons the explicit update itself
+    with pytest.raises(NonPositiveField):
+        step_explicit(man, psi, dataclasses.replace(state, r=math.nan), 1e-3)
+
+
+@pytest.mark.parametrize("scheme,dt0", [("explicit", 1e-2), ("imex", 5e-2)])
+def test_run_on_icosphere_reaches_constant_potential_limit(scheme, dt0, icosphere3):
+    # psi = a < 0 constant: the limit is the constant field V^{-1/(p+1)}
+    # with r = a V^{(p-1)/(p+1)}.  r is quadratic in the distance to the
+    # constant field (~1e-9 at the res tolerance), so only rounding of the
+    # quotient is left: a few ulps of r.
+    man = icosphere3
+    a, p = -1.0, 3.0
+    cfg = FlowConfig(scheme=scheme, dt0=dt0, p=p)
+    res = run_flow(man, np.full(man.node_count, a), lognormal_field(man, 0), cfg)
+    assert res.stop == STOP_CONVERGED
+    want = a * man.volume ** ((p - 1.0) / (p + 1.0))
+    assert abs(res.r_infinity - want) <= 1e-14 * abs(want)
+    np.testing.assert_allclose(res.final.u, man.volume ** (-1.0 / (p + 1.0)), rtol=0, atol=1e-8)

@@ -257,3 +257,14 @@ def test_off_bad_vertex_literal(tmp_path):
 def test_off_index_out_of_range(tmp_path):
     with pytest.raises(MeshFormatError):
         _load_text(tmp_path, "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
+
+
+def test_off_unreadable_file_is_format_error(tmp_path):
+    with pytest.raises(MeshFormatError):
+        load_off_mesh(str(tmp_path))  # a directory
+    with pytest.raises(MeshFormatError):
+        load_off_mesh(str(tmp_path / "missing.off"))
+    binary = tmp_path / "binary.off"
+    binary.write_bytes(b"OFF\n\xff\xfe\x00\x01")
+    with pytest.raises(MeshFormatError):
+        load_off_mesh(str(binary))

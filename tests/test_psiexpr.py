@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_evaluate_domain_errors(circle64):
         evaluate(parse("0^-1"), circle64)
     with pytest.raises(EvalDomainError):
         evaluate(parse("(0-2)^0.5"), circle64)
+
+
+def test_evaluate_rejects_non_finite_silently(circle64):
+    # exp overflows at most nodes; the error must come without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError, match="not finite"):
+            evaluate(parse("exp(1000*x1)"), circle64)
+        with pytest.raises(EvalDomainError, match="not finite"):
+            evaluate(parse("exp(1000)"), circle64)
+        with pytest.raises(EvalDomainError, match="not finite"):
+            evaluate(parse("sin(exp(1000*x1))"), circle64)
 
 
 def test_variable_bounds(circle64, octahedron):
