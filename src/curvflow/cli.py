@@ -3,7 +3,7 @@
 Subcommands:
     run     evolve the constrained flow, print a summary, optionally dump the trace
     eigen   ground eigenvalue of the potential's Schroedinger-type operator
-    oracle  flow limit cross-checked against the constrained Newton solver
+    oracle  flow limit vs the constrained Newton solver, optionally dump the trace
     gauss   two-dimensional log-conformal flow
     sweep   multistart relaxation; per-start CSV rows and the best energy
 
@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,33 +112,39 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _add_manifold_args(p: argparse.ArgumentParser) -> None:
+def _add_problem_args(p: argparse.ArgumentParser) -> None:
+    """The manifold and potential flags that every subcommand takes."""
     p.add_argument("--torus", help="periodic grid as N:L[,N:L...]")
     p.add_argument("--off", help="path to an OFF surface mesh")
     p.add_argument("--preset", choices=sorted(PRESETS), help="frozen named setup")
-
-
-def _add_run_args(p: argparse.ArgumentParser) -> None:
-    _add_manifold_args(p)
     p.add_argument("--psi", help="potential expression over x1..xn")
-    p.add_argument("--p", type=float, default=None, help="nonlinearity exponent (> 1)")
-    p.add_argument("--c", default=None,
-                   help="diffusion coefficient, or 'auto' for 4(n-1)/(n-2) (n >= 3)")
-    p.add_argument("--scheme", choices=["explicit", "imex"], default="explicit")
-    p.add_argument("--dt0", type=float, default=1e-2)
+
+
+def _add_budget_args(p: argparse.ArgumentParser, dt0: float) -> None:
+    """The step, time and trace flags that run, oracle, sweep and gauss share."""
+    p.add_argument("--dt0", type=float, default=dt0)
     p.add_argument("--safety", type=float, default=0.25)
     p.add_argument("--tmax", type=float, default=100.0)
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--tol-f", type=float, default=1e-10)
     p.add_argument("--tol-res", type=float, default=1e-8)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", help="write the trace CSV here")
+    p.add_argument("--out", help="write the trace CSV here (sweep: its per-start rows)")
     p.add_argument("--trace-every", type=int, default=1)
 
 
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    _add_problem_args(p)
+    p.add_argument("--p", type=float, default=None, help="nonlinearity exponent (> 1)")
+    p.add_argument("--c", default=None,
+                   help="diffusion coefficient, or 'auto' for 4(n-1)/(n-2) (n >= 3)")
+    p.add_argument("--scheme", choices=["explicit", "imex"], default="explicit")
+    _add_budget_args(p, dt0=1e-2)
+    p.add_argument("--seed", type=_seed, default=0)
+
+
 def build_manifold(args) -> DiscreteManifold:
-    sources = [s for s in (args.torus, args.off, getattr(args, "preset", None)) if s]
-    if len(sources) != 1 and not (args.torus or args.off or getattr(args, "preset", None)):
+    sources = [s for s in (args.torus, args.off, args.preset) if s]
+    if not sources:
         raise CliUsageError("specify a manifold via --torus, --off or --preset")
     if args.preset and (args.torus or args.off):
         raise CliUsageError("--preset already fixes the manifold")
@@ -159,9 +166,9 @@ def build_manifold(args) -> DiscreteManifold:
     return build_torus_grid([n for n, _ in pairs], [L for _, L in pairs])
 
 
-def resolve_c(raw, man: DiscreteManifold) -> float:
+def resolve_c(raw, man: DiscreteManifold, default: float = 1.0) -> float:
     if raw is None:
-        return 1.0
+        return default
     if isinstance(raw, str) and raw.strip().lower() == "auto":
         if man.dim < 3:
             raise CliUsageError(
@@ -177,20 +184,27 @@ def resolve_c(raw, man: DiscreteManifold) -> float:
     return value
 
 
-def build_runspec(args) -> RunSpec:
+def resolve_problem(args) -> tuple[DiscreteManifold, str, np.ndarray, float, float]:
+    """Manifold, psi text, psi, p and c of a subcommand, in that order.
+
+    Flags win; a --preset fills in what they leave unset.  Subcommands
+    without --p or --c get the preset's value or the default (3 and 1).
+    """
     man = build_manifold(args)
-    preset = PRESETS.get(getattr(args, "preset", None) or "", None)
-    psi_text = args.psi if args.psi is not None else (preset["psi"] if preset else None)
+    preset = PRESETS.get(args.preset, {})
+    psi_text = args.psi if args.psi is not None else preset.get("psi")
     if psi_text is None:
         raise CliUsageError("specify --psi (or a --preset that fixes it)")
     psi = evaluate(parse(psi_text), man)
-    p = args.p if args.p is not None else (preset["p"] if preset else 3.0)
-    if args.c is not None:
-        c = resolve_c(args.c, man)
-    else:
-        c = preset["c"] if preset else 1.0
-    cfg = flow.FlowConfig(
-        scheme=args.scheme,
+    p = getattr(args, "p", None)
+    if p is None:
+        p = preset.get("p", 3.0)
+    c = resolve_c(getattr(args, "c", None), man, default=preset.get("c", 1.0))
+    return man, psi_text, psi, p, c
+
+
+def _flow_config(args, **fields) -> flow.FlowConfig:
+    return flow.FlowConfig(
         dt0=args.dt0,
         safety=args.safety,
         tol_f=args.tol_f,
@@ -198,21 +212,26 @@ def build_runspec(args) -> RunSpec:
         t_max=args.tmax,
         max_steps=args.max_steps,
         trace_every=args.trace_every,
-        seed=args.seed,
-        p=p,
-        c=c,
+        **fields,
     )
-    if getattr(args, "preset", None):
+
+
+def build_runspec(args) -> RunSpec:
+    man, psi_text, psi, p, c = resolve_problem(args)
+    cfg = _flow_config(args, scheme=args.scheme, p=p, c=c)
+    if args.preset:
         u0 = preset_u0(args.preset, man, args.seed)
     else:
         u0 = spectral.lognormal_field(man, args.seed)
     return RunSpec(man=man, psi=psi, psi_text=psi_text, u0=u0, cfg=cfg)
 
 
-def _write_trace(result: flow.FlowResult, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            flow.write_trace_csv(result.trace, fh)
+def _output(path: str | None):
+    """--out opened for writing (None without it) before the flow runs, so an
+    unwritable path fails before any step; a run that raises leaves an empty file."""
+    if not path:
+        return nullcontext()
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _summary(result: flow.FlowResult) -> str:
@@ -228,20 +247,16 @@ def _summary(result: flow.FlowResult) -> str:
 
 def cmd_run(args) -> int:
     spec = build_runspec(args)
-    result = flow.run_flow(spec.man, spec.psi, spec.u0, spec.cfg)
-    _write_trace(result, args.out)
+    with _output(args.out) as out:
+        result = flow.run_flow(spec.man, spec.psi, spec.u0, spec.cfg)
+        if out:
+            flow.write_trace_csv(result.trace, out)
     print(_summary(result))
     return 2 if result.stop == flow.STOP_POSITIVITY else 0
 
 
 def cmd_eigen(args) -> int:
-    man = build_manifold(args)
-    preset = PRESETS.get(getattr(args, "preset", None) or "", None)
-    psi_text = args.psi if args.psi is not None else (preset["psi"] if preset else None)
-    if psi_text is None:
-        raise CliUsageError("specify --psi (or a --preset that fixes it)")
-    psi = evaluate(parse(psi_text), man)
-    c = resolve_c(args.c, man) if args.c is not None else (preset["c"] if preset else 1.0)
+    man, _, psi, _, c = resolve_problem(args)
     res = spectral.lambda1(man, psi, c=c)
     print(f"lambda1={res.lambda1:.12g} residual={res.residual:.3e} "
           f"iterations={res.iterations}")
@@ -250,7 +265,10 @@ def cmd_eigen(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = build_runspec(args)
-    result = flow.run_flow(spec.man, spec.psi, spec.u0, spec.cfg)
+    with _output(args.out) as out:
+        result = flow.run_flow(spec.man, spec.psi, spec.u0, spec.cfg)
+        if out:
+            flow.write_trace_csv(result.trace, out)
     if result.stop == flow.STOP_POSITIVITY:
         print(_summary(result))
         return 2
@@ -266,18 +284,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    man = build_manifold(args)
-    if args.psi is None:
-        raise CliUsageError("specify --psi")
-    psi = evaluate(parse(args.psi), man)
-    cfg = flow.FlowConfig(
-        scheme="explicit", dt0=args.dt0, safety=args.safety,
-        tol_f=args.tol_f, tol_res=args.tol_res, t_max=args.tmax,
-        max_steps=args.max_steps, trace_every=args.trace_every, seed=args.seed,
-    )
+    man, _, psi, _, _ = resolve_problem(args)
     u0 = np.zeros(man.node_count)
-    result = gauss.run_gauss_flow(man, psi, u0, cfg)
-    _write_trace(result, args.out)
+    with _output(args.out) as out:
+        result = gauss.run_gauss_flow(man, psi, u0, _flow_config(args))
+        if out:
+            flow.write_trace_csv(result.trace, out)
     last = result.trace[-1]
     print(f"stop={result.stop} r={result.r_infinity:.10g} f={last.f:.6g} "
           f"area_drift={last.norm_err:.3e} steps={last.step}")
@@ -287,36 +299,20 @@ def cmd_gauss(args) -> int:
 def cmd_sweep(args) -> int:
     if args.starts < 1:
         raise CliUsageError("--starts must be >= 1")
-    man = build_manifold(args)
-    preset = PRESETS.get(getattr(args, "preset", None) or "", None)
-    psi_text = args.psi if args.psi is not None else (preset["psi"] if preset else None)
-    if psi_text is None:
-        raise CliUsageError("specify --psi (or a --preset that fixes it)")
-    psi = evaluate(parse(psi_text), man)
-    p = args.p if args.p is not None else (preset["p"] if preset else 3.0)
-    c = resolve_c(args.c, man) if args.c is not None else (preset["c"] if preset else 1.0)
-    cfg = flow.FlowConfig(
-        scheme=args.scheme, dt0=args.dt0, safety=args.safety,
-        tol_f=args.tol_f, tol_res=args.tol_res, t_max=args.tmax,
-        max_steps=args.max_steps, trace_every=args.trace_every, seed=args.seed,
-        p=p, c=c,
-    )
+    man, _, psi, p, c = resolve_problem(args)
+    cfg = _flow_config(args, scheme=args.scheme, p=p, c=c)
     rows = []
     best = math.inf
-    for i in range(args.starts):
-        u0 = spectral.lognormal_field(man, (args.seed, i))
-        result = flow.run_flow(man, psi, u0, cfg)
-        E = spectral.energy_E(man, result.final.u, psi, c, p)
-        best = min(best, E)
-        rows.append((i, result.final.r, E, result.stop))
-    lines = ["start,r_final,E_final,stop"]
-    lines += [f"{i},{r:.16e},{E:.16e},{stop}" for i, r, E, stop in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as out:
+        for i in range(args.starts):
+            u0 = spectral.lognormal_field(man, (args.seed, i))
+            result = flow.run_flow(man, psi, u0, cfg)
+            E = spectral.energy_E(man, result.final.u, psi, c, p)
+            best = min(best, E)
+            rows.append((i, result.final.r, E, result.stop))
+        lines = ["start,r_final,E_final,stop"]
+        lines += [f"{i},{r:.16e},{E:.16e},{stop}" for i, r, E, stop in rows]
+        (out or sys.stdout).write("\n".join(lines) + "\n")
     print(f"Y_psi_upper={best:.12g}")
     return 0
 
@@ -331,8 +327,7 @@ def _build_parser() -> _Parser:
     p_run.set_defaults(func=cmd_run)
 
     p_eigen = sub.add_parser("eigen", help="ground eigenvalue of the potential")
-    _add_manifold_args(p_eigen)
-    p_eigen.add_argument("--psi")
+    _add_problem_args(p_eigen)
     p_eigen.add_argument("--c", default=None)
     p_eigen.set_defaults(func=cmd_eigen)
 
@@ -341,17 +336,8 @@ def _build_parser() -> _Parser:
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_gauss = sub.add_parser("gauss", help="two-dimensional log-conformal flow")
-    _add_manifold_args(p_gauss)
-    p_gauss.add_argument("--psi")
-    p_gauss.add_argument("--dt0", type=float, default=1e-3)
-    p_gauss.add_argument("--safety", type=float, default=0.25)
-    p_gauss.add_argument("--tmax", type=float, default=100.0)
-    p_gauss.add_argument("--max-steps", type=int, default=1_000_000)
-    p_gauss.add_argument("--tol-f", type=float, default=1e-10)
-    p_gauss.add_argument("--tol-res", type=float, default=1e-8)
-    p_gauss.add_argument("--seed", type=_seed, default=0)
-    p_gauss.add_argument("--out")
-    p_gauss.add_argument("--trace-every", type=int, default=1)
+    _add_problem_args(p_gauss)
+    _add_budget_args(p_gauss, dt0=1e-3)
     p_gauss.set_defaults(func=cmd_gauss)
 
     p_sweep = sub.add_parser("sweep", help="multistart relaxation sweep")

@@ -18,6 +18,9 @@ Quantities logged per trace row: r, the drift, u and R extrema, the decay
 functional f = \\int (R - r)^2 u^{p+1} dv (which satisfies dr/dt = -2 f
 along exact trajectories) and the stationarity residual in max norm.
 
+_drive is the package's one run loop: run_flow and gauss.run_gauss_flow
+hand it a stepper, and it owns stopping, budgets, dt halving and thinning.
+
 The run loop and both public steppers go through private kernels:
 _settle checks an update once and projects it, forming u^{p+1} once per
 normalization pass; _diagnose reuses that power for R, f and the
@@ -124,7 +127,6 @@ class FlowConfig:
     max_steps: int = 1_000_000
     max_halvings: int = 40
     trace_every: int = 1
-    seed: int = 0
     p: float = 3.0
     c: float = 1.0
 
@@ -463,25 +465,6 @@ def f_diagnostic(
     return integrate(man, (R - r) ** 2 * np.asarray(u, dtype=float) ** (p + 1.0))
 
 
-def _record(
-    state: FlowState, dt: float, f: float, res: float, u_min: float, R_min: float,
-    R: np.ndarray,
-) -> TraceRecord:
-    return TraceRecord(
-        step=state.step,
-        t=state.t,
-        dt=dt,
-        r=state.r,
-        norm_err=state.norm_err,
-        u_min=u_min,
-        u_max=float(state.u.max()),
-        f=f,
-        R_min=R_min,
-        R_max=float(R.max()),
-        res_linf=res,
-    )
-
-
 def _fit_decay_rate(trace: Sequence[TraceRecord], psi: np.ndarray) -> float | None:
     """Least-squares slope of log r over the trailing half of the trace.
 
@@ -500,6 +483,101 @@ def _fit_decay_rate(trace: Sequence[TraceRecord], psi: np.ndarray) -> float | No
         return None
     slope = np.polyfit(ts, np.log(rs), 1)[0]
     return float(-slope)
+
+
+class _Stepper:
+    """run_flow's stepper for _drive; the scheme is picked once, here.  The
+    explicit step reuses the u_min and R that the trace row also shows."""
+
+    def __init__(self, man: DiscreteManifold, psi: np.ndarray, state: FlowState,
+                 cfg: FlowConfig):
+        self.man, self.psi = man, psi
+        self._enter(state, state.u ** (state.p + 1.0), float(state.u.min()))
+        self.sigma = sigma_shift(self.R)
+        p, c = state.p, state.c
+        if cfg.scheme == "imex":
+            A = _imex_operator(man, psi, c)
+            jac = _JacobianPattern(A)
+            self._update = lambda st, dt, R: _imex_update(man, psi, st, dt, A, jac)
+            self._dt = lambda u_min: cfg.dt0
+        else:
+            self._update = lambda st, dt, R: _explicit_update(man, psi, st, dt, R)
+            self._dt = lambda u_min: _stable_dt(man, u_min, p, c, cfg.safety, cfg.dt0)
+
+    def _enter(self, state: FlowState, upw: np.ndarray, u_min: float) -> None:
+        self.state, self.t, self.step, self.u_min = state, state.t, state.step, u_min
+        self.R, self.f, self.res = _diagnose(self.man, self.psi, state, upw)
+        self.R_min = float(self.R.min())
+
+    def dt(self) -> float:
+        return self._dt(self.u_min)
+
+    def advance(self, dt: float) -> None:
+        # a rejected step raises inside _update, before any attribute changes
+        self._enter(*self._update(self.state, dt, self.R))
+        sigma = self.sigma
+        if self.R_min + sigma < 1.0 - 1e-6 * sigma:
+            log.warning(
+                "shifted-curvature bound grazed at step %d: min R + sigma = %.6e",
+                self.step, self.R_min + sigma,
+            )
+
+    def record(self, dt: float) -> TraceRecord:
+        state = self.state
+        return TraceRecord(
+            step=state.step,
+            t=state.t,
+            dt=dt,
+            r=state.r,
+            norm_err=state.norm_err,
+            u_min=self.u_min,
+            u_max=float(state.u.max()),
+            f=self.f,
+            R_min=self.R_min,
+            R_max=float(self.R.max()),
+            res_linf=self.res,
+        )
+
+
+def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
+    """The run loop: step until converged, out of budget, or out of halvings.
+
+    Returns (trace, stop).  The stepper exposes t, step, f and res of its
+    current state, dt(), advance(dt), which raises StepRejectedPositivity
+    and keeps its state when dt is too large, and record(dt), the trace row
+    of its current state.  Rows are kept for step 0, every trace_every-th
+    step and the final state.
+    """
+    trace = [stepper.record(0.0)]
+    last_dt = 0.0
+    while True:
+        if stepper.f <= cfg.tol_f and stepper.res <= cfg.tol_res:
+            stop = STOP_CONVERGED
+            break
+        if stepper.step >= cfg.max_steps:
+            stop = STOP_MAX_STEPS
+            break
+        remaining = cfg.t_max - stepper.t
+        if remaining <= 1e-14 * cfg.t_max:
+            stop = STOP_TMAX
+            break
+        dt = min(stepper.dt(), remaining)
+        for _ in range(cfg.max_halvings + 1):
+            try:
+                stepper.advance(dt)
+                break
+            except StepRejectedPositivity:
+                dt *= 0.5
+        else:
+            stop = STOP_POSITIVITY
+            break
+        last_dt = dt
+        if stepper.step % cfg.trace_every == 0:
+            trace.append(stepper.record(dt))
+
+    if trace[-1].step != stepper.step:
+        trace.append(stepper.record(last_dt))
+    return trace, stop
 
 
 def run_flow(
@@ -524,70 +602,13 @@ def run_flow(
         raise IllConditionedInitialData(
             f"normalized initial field has min {u.min():.3e} < 1e-10"
         )
-    state = make_flow_state(man, psi, u, 0.0, 0, cfg.p, cfg.c)
-    R, f, res = _diagnose(man, psi, state, state.u ** (state.p + 1.0))
-    u_min, R_min = float(state.u.min()), float(R.min())
-    sigma = sigma_shift(R)
-    trace = [_record(state, 0.0, f, res, u_min, R_min, R)]
-    A = jac = None
-    if cfg.scheme == "imex":
-        A = _imex_operator(man, psi, state.c)
-        jac = _JacobianPattern(A)
-
-    stop = None
-    last_dt = 0.0
-    while True:
-        if f <= cfg.tol_f and res <= cfg.tol_res:
-            stop = STOP_CONVERGED
-            break
-        if state.step >= cfg.max_steps:
-            stop = STOP_MAX_STEPS
-            break
-        remaining = cfg.t_max - state.t
-        if remaining <= 1e-14 * cfg.t_max:
-            stop = STOP_TMAX
-            break
-
-        if cfg.scheme == "explicit":
-            dt = _stable_dt(man, u_min, state.p, state.c, cfg.safety, cfg.dt0)
-        else:
-            dt = cfg.dt0
-        dt = min(dt, remaining)
-
-        settled = None
-        for _ in range(cfg.max_halvings + 1):
-            try:
-                if cfg.scheme == "explicit":
-                    settled = _explicit_update(man, psi, state, dt, R)
-                else:
-                    settled = _imex_update(man, psi, state, dt, A, jac)
-                break
-            except StepRejectedPositivity:
-                dt *= 0.5
-        if settled is None:
-            stop = STOP_POSITIVITY
-            break
-
-        state, upw, u_min = settled
-        last_dt = dt
-        R, f, res = _diagnose(man, psi, state, upw)
-        R_min = float(R.min())
-        if R_min + sigma < 1.0 - 1e-6 * sigma:
-            log.warning(
-                "shifted-curvature bound grazed at step %d: min R + sigma = %.6e",
-                state.step, R_min + sigma,
-            )
-        if state.step % cfg.trace_every == 0:
-            trace.append(_record(state, dt, f, res, u_min, R_min, R))
-
-    if trace[-1].step != state.step:
-        trace.append(_record(state, last_dt, f, res, u_min, R_min, R))
-
+    stepper = _Stepper(man, psi, make_flow_state(man, psi, u, 0.0, 0, cfg.p, cfg.c), cfg)
+    trace, stop = _drive(cfg, stepper)
     return FlowResult(
-        final=state,
+        final=stepper.state,
         trace=trace,
         stop=stop,
-        r_infinity=state.r,
+        r_infinity=stepper.state.r,
         decay_rate=_fit_decay_rate(trace, psi),
     )
 

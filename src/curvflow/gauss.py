@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvFlowError, DimensionMismatch, SizeMismatch
-from .flow import (
-    STOP_CONVERGED,
-    STOP_MAX_STEPS,
-    STOP_TMAX,
-    FlowConfig,
-    FlowResult,
-    TraceRecord,
-)
+from .flow import FlowConfig, FlowResult, TraceRecord, _drive
 from .manifold import DiscreteManifold, integrate, laplacian_apply
 
 __all__ = ["GaussState", "k_psi", "gauss_r", "run_gauss_flow"]
@@ -72,6 +65,52 @@ def gauss_r(man: DiscreteManifold, u: np.ndarray, psi: np.ndarray) -> float:
     return integrate(man, psi) / integrate(man, np.exp(2.0 * u))
 
 
+class _GaussStepper:
+    """run_gauss_flow's stepper for flow._drive; u may take any real sign."""
+
+    def __init__(self, man: DiscreteManifold, psi: np.ndarray, u: np.ndarray,
+                 cfg: FlowConfig):
+        self.man, self.psi, self.u = man, psi, u
+        self.t, self.step = 0.0, 0
+        self.psi_total = integrate(man, psi)
+        self._diagnose()
+        self.area0 = self.area
+        self._dt0, self._smax = cfg.dt0, man._max_stiffness_diagonal
+        self._safe_mass = cfg.safety * float(man.mass.min())
+
+    def _diagnose(self) -> None:
+        man, u = self.man, self.u
+        w = np.exp(2.0 * u)
+        self.area = integrate(man, w)
+        self.r = r = self.psi_total / self.area
+        lap = laplacian_apply(man, u)
+        self.K = K = (-lap + self.psi) / w
+        dev = K - r
+        self.f = float(np.dot(man.mass, dev * dev * w))
+        self.res = float(np.max(np.abs(lap - self.psi + r * w)))
+
+    def dt(self) -> float:
+        stable = self._safe_mass * float(np.exp(2.0 * self.u.min())) / self._smax
+        return min(self._dt0, stable)
+
+    def advance(self, dt: float) -> None:
+        # e^{-2u} (Lap u - psi) + r = r - K
+        u = self.u + dt * (self.r - self.K)
+        if not np.all(np.isfinite(u)):
+            raise CurvFlowError(f"flow blew up at step {self.step + 1}")
+        self.u, self.t, self.step = u, self.t + dt, self.step + 1
+        self._diagnose()
+
+    def record(self, dt: float) -> TraceRecord:
+        u, K = self.u, self.K
+        return TraceRecord(
+            step=self.step, t=self.t, dt=dt, r=self.r,
+            norm_err=(self.area - self.area0) / self.area0,
+            u_min=float(u.min()), u_max=float(u.max()),
+            f=self.f, R_min=float(K.min()), R_max=float(K.max()), res_linf=self.res,
+        )
+
+
 def run_gauss_flow(
     man: DiscreteManifold,
     psi: np.ndarray,
@@ -80,75 +119,21 @@ def run_gauss_flow(
 ) -> FlowResult:
     """Explicit flow of the conformal exponent; any real u0 is accepted.
 
-    Steps at min(dt0, safety * min(mass) * e^{2 min u} / max S_ii), stops
-    when f = \\int (K - r)^2 e^{2u} dv falls below tol_f or a budget runs
-    out.  The area integral is never renormalized.
+    Steps at min(dt0, safety * min(mass) * e^{2 min u} / max S_ii) and
+    stops, through flow._drive, when f = \\int (K - r)^2 e^{2u} dv <= tol_f
+    and the residual max |Lap u - psi + r e^{2u}| <= tol_res, or when a
+    budget runs out.  The area integral is never renormalized.
     """
     cfg.validate()
     _check_2d(man)
     u = _check_field(man, u0, "u0").copy()
     psi = _check_field(man, psi, "psi")
-    psi_total = integrate(man, psi)
-    area0 = integrate(man, np.exp(2.0 * u))
+    s = _GaussStepper(man, psi, u, cfg)
     log.info(
         "normalizing term r = (total psi %.6e) / evolving area; this choice "
-        "conserves the area integral (start %.6e)", psi_total, area0,
+        "conserves the area integral (start %.6e)", s.psi_total, s.area0,
     )
-    smax = man._max_stiffness_diagonal
-    mmin = float(man.mass.min())
-
-    def diagnostics(u):
-        w = np.exp(2.0 * u)
-        area = integrate(man, w)
-        r = psi_total / area
-        lap = laplacian_apply(man, u)
-        K = (-lap + psi) / w
-        dev = K - r
-        f = float(np.dot(man.mass, dev * dev * w))
-        res = float(np.max(np.abs(lap - psi + r * w)))
-        return w, area, r, K, f, res
-
-    w, area, r, K, f, res = diagnostics(u)
-
-    def record(step, t, dt):
-        return TraceRecord(
-            step=step, t=t, dt=dt, r=r,
-            norm_err=(area - area0) / area0,
-            u_min=float(u.min()), u_max=float(u.max()),
-            f=f, R_min=float(K.min()), R_max=float(K.max()), res_linf=res,
-        )
-
-    t = 0.0
-    step = 0
-    trace = [record(0, 0.0, 0.0)]
-    stop = None
-    last_dt = 0.0
-    while True:
-        if f <= cfg.tol_f:
-            stop = STOP_CONVERGED
-            break
-        if step >= cfg.max_steps:
-            stop = STOP_MAX_STEPS
-            break
-        remaining = cfg.t_max - t
-        if remaining <= 1e-14 * cfg.t_max:
-            stop = STOP_TMAX
-            break
-        dt = min(cfg.dt0, cfg.safety * mmin * float(np.exp(2.0 * u.min())) / smax, remaining)
-        # e^{-2u} (Lap u - psi) + r = r - K
-        u = u + dt * (r - K)
-        step += 1
-        t += dt
-        last_dt = dt
-        if not np.all(np.isfinite(u)):
-            raise CurvFlowError(f"flow blew up at step {step}")
-        w, area, r, K, f, res = diagnostics(u)
-        if step % cfg.trace_every == 0:
-            trace.append(record(step, t, dt))
-
-    if trace[-1].step != step:
-        trace.append(record(step, t, last_dt))
-
-    final = GaussState(u=u, t=t, step=step, r=r)
-    return FlowResult(final=final, trace=trace, stop=stop,
-                      r_infinity=r, decay_rate=None)
+    trace, stop = _drive(cfg, s)
+    # built once from the stepper's plain attributes, not on every step
+    final = GaussState(u=s.u, t=s.t, step=s.step, r=s.r)
+    return FlowResult(final=final, trace=trace, stop=stop, r_infinity=s.r)

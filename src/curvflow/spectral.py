@@ -165,7 +165,10 @@ def lognormal_field(
     the bounding-box diameter, then standardized against the mass
     weighting.  Deterministic in the seed (tuples make substreams).
     """
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:  # numpy's message for a negative entry
+        raise ConfigError(f"bad seed {seed!r}: {exc}") from exc
     white = rng.standard_normal(man.node_count)
     ell = corr_fraction * man.bbox_diameter
     helm = (sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc()

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from curvflow import cli, flow, gauss
 from curvflow.flow import TRACE_HEADER
 
 TWO_PI_STR = "6.283185307179586"
@@ -94,14 +95,38 @@ def test_eigen_missing_off_file():
     assert res.returncode == 1
 
 
-def test_oracle_preset_thm2():
-    res = run_cli("oracle", "--preset", "thm2")
+def test_oracle_preset_thm2(tmp_path):
+    out = tmp_path / "oracle.csv"
+    res = run_cli("oracle", "--preset", "thm2", "--out", str(out))
     assert res.returncode == 0
     assert float(field(res.stdout, "u_gap")) <= 1e-6
     assert float(field(res.stdout, "r_gap")) <= 1e-8
     assert float(field(res.stdout, "r_newton")) == pytest.approx(
         -np.sqrt(2.0 * np.pi), abs=1e-6
     )
+    # --out holds the flow trace, ending at the state Newton started from
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == TRACE_HEADER
+    assert len(lines) > 2
+    r_last = float(lines[-1].split(",")[3])
+    assert r_last == pytest.approx(float(field(res.stdout, "r_flow")), rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--preset", "thm2"),
+    ("oracle", "--preset", "thm2"),
+    ("sweep", "--preset", "thm2", "--starts", "1"),
+    ("gauss", "--torus", "8:1,8:1", "--psi", "1"),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_fails_before_the_flow_runs(argv, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the flow ran before --out was opened")
+
+    monkeypatch.setattr(flow, "run_flow", must_not_run)
+    monkeypatch.setattr(gauss, "run_gauss_flow", must_not_run)
+    monkeypatch.delenv("CURVFLOW_LOG", raising=False)
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gauss_run_reports_drift():
@@ -192,6 +217,7 @@ BAD_INPUTS = {
     "psi-overflow": lambda tmp: ("run", "--torus", f"16:{TWO_PI_STR}", "--psi", "exp(1000*x1)"),
     "sweep-no-starts": lambda tmp: ("sweep", "--preset", "thm2", "--starts", "0"),
     "seed-negative": lambda tmp: ("run", "--preset", "thm2", "--seed", "-1"),
+    "gauss-seed": lambda tmp: ("gauss", "--torus", "8:1,8:1", "--psi", "1", "--seed", "1"),
     "off-directory": lambda tmp: ("eigen", "--off", str(tmp), "--psi", "1"),
     "off-binary": lambda tmp: ("eigen", "--off", _binary_off(tmp), "--psi", "1"),
     "out-directory": lambda tmp: ("run", "--torus", "16:1", "--psi", "-1", "--max-steps", "1",

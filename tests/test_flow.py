@@ -354,6 +354,50 @@ def test_run_trace_every_thinning(circle64):
     assert all(s % 25 == 0 for s in steps[:-1])
 
 
+class _ScriptedStepper:
+    """A stepper for flow._drive that proposes a fixed dt and rejects any
+    step longer than dt_ok, as a step that loses positivity would."""
+
+    def __init__(self, dt, dt_ok):
+        self.t, self.step, self.f, self.res = 0.0, 0, 1.0, 1.0
+        self._dt, self._dt_ok = dt, dt_ok
+
+    def dt(self):
+        return self._dt
+
+    def advance(self, dt):
+        if dt > self._dt_ok:
+            raise StepRejectedPositivity(f"dt={dt} rejected")
+        self.t += dt
+        self.step += 1
+
+    def record(self, dt):
+        return flow.TraceRecord(self.step, self.t, dt, *[0.0] * 8)
+
+
+def test_drive_halves_clips_and_keeps_the_final_row():
+    cfg = FlowConfig(t_max=0.95, trace_every=4)
+    trace, stop = flow._drive(cfg, _ScriptedStepper(dt=0.3, dt_ok=0.2))
+    assert stop == STOP_TMAX
+    # five steps of 0.3 halved once, then the 0.2 left before t_max, unhalved
+    assert [rec.step for rec in trace] == [0, 4, 6]
+    assert trace[1].dt == 0.15
+    assert trace[-1].dt == pytest.approx(0.2)
+    assert trace[-1].t == pytest.approx(0.95)
+
+
+def test_drive_stops_when_halvings_run_out():
+    cfg = FlowConfig(max_halvings=2)
+    trace, stop = flow._drive(cfg, _ScriptedStepper(dt=1.0, dt_ok=0.2))
+    assert stop == STOP_POSITIVITY
+    assert [rec.step for rec in trace] == [0]
+    # one more halving lets every step through, at 1/8 of the proposed dt
+    trace, stop = flow._drive(FlowConfig(max_halvings=3, max_steps=2),
+                              _ScriptedStepper(dt=1.0, dt_ok=0.2))
+    assert stop == STOP_MAX_STEPS
+    assert [rec.dt for rec in trace] == [0.0, 0.125, 0.125]
+
+
 def test_sigma_shift_values():
     assert sigma_shift(np.array([-3.0, 0.0, 2.0])) == 4.0
     assert sigma_shift(np.array([5.0, 7.0])) == 1.0

@@ -145,3 +145,28 @@ def test_run_logs_normalization_reading(torus2d, caplog):
     with caplog.at_level(logging.INFO, logger="curvflow.gauss"):
         run_gauss_flow(torus2d, np.ones(n), np.zeros(n), cfg)
     assert any("conserves the area integral" in rec.message for rec in caplog.records)
+
+
+def test_stop_needs_the_residual_tolerance_too(torus2d):
+    # f starts near 0.2, inside tol_f = 1, but the residual is 0.1: the run
+    # must go on until res_linf <= tol_res as well
+    n = torus2d.node_count
+    psi = 0.1 * np.cos(torus2d.coordinates[:, 0])
+    cfg = FlowConfig(scheme="explicit", dt0=5e-3, tol_f=1.0, t_max=100.0)
+    res = run_gauss_flow(torus2d, psi, np.zeros(n), cfg)
+    assert res.trace[0].f <= cfg.tol_f
+    assert res.trace[0].res_linf > cfg.tol_res
+    assert res.stop == "Converged"
+    assert res.final.step > 0
+    assert res.trace[-1].res_linf <= cfg.tol_res
+
+
+def test_trace_thinning_keeps_first_and_final_rows(torus2d):
+    n = torus2d.node_count
+    psi = 0.3 * np.cos(torus2d.coordinates[:, 0])
+    cfg = FlowConfig(scheme="explicit", dt0=1e-3, tol_f=1e-300, max_steps=100, trace_every=7)
+    res = run_gauss_flow(torus2d, psi, np.zeros(n), cfg)
+    assert res.stop == "MaxSteps"
+    assert [rec.step for rec in res.trace] == list(range(0, 100, 7)) + [100]
+    assert res.trace[-1].t == res.final.t
+    assert res.trace[-1].dt == pytest.approx(1e-3)

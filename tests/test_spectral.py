@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 from scipy import sparse
 
-from curvflow.errors import InvalidDimension, SizeMismatch, ZeroDenominator
+from curvflow.errors import ConfigError, InvalidDimension, SizeMismatch, ZeroDenominator
 from curvflow.flow import FlowConfig
 from curvflow.manifold import integrate
 from curvflow.spectral import (
@@ -148,3 +148,14 @@ def test_lognormal_field_smooth(circle256):
     jumps = np.abs(np.diff(np.log(u)))
     spread = np.log(u).max() - np.log(u).min()
     assert jumps.max() < 0.1 * spread
+
+
+@pytest.mark.parametrize("seed", [-1, (-1, 0), (0, -1)])
+def test_lognormal_field_rejects_negative_seed(circle64, seed):
+    with pytest.raises(ConfigError):
+        lognormal_field(circle64, seed)
+
+
+def test_estimate_Y_rejects_negative_seed(circle64):
+    with pytest.raises(ConfigError):
+        estimate_Y(circle64, -np.ones(64), 1.0, 3.0, n_starts=1, seed=-1, cfg=LEAN)
