@@ -44,6 +44,7 @@ from .spectral import (
     estimate_Y,
     lambda1,
     lognormal_field,
+    relax_many,
     y_sphere_constant,
 )
 

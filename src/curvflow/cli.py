@@ -8,10 +8,10 @@ Subcommands:
     sweep   multistart relaxation; per-start CSV rows and the best energy
 
 Exit codes: 0 on a completed run (Converged / TmaxReached / MaxSteps),
-2 when a flow dies of positivity failure, 1 on usage, parse or input
-errors.  The CURVFLOW_LOG environment variable (quiet|info|debug) sets
-log verbosity.  Identical command line + seed gives byte-identical trace
-files.
+2 when a flow dies of positivity failure (sweep: when any start does,
+after printing every row), 1 on usage, parse or input errors.  The
+CURVFLOW_LOG environment variable (quiet|info|debug) sets log verbosity.
+Identical command line + seed gives byte-identical trace files.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +30,13 @@ from .errors import CurvFlowError
 from .manifold import DiscreteManifold, build_torus_grid, load_off_mesh
 from .psiexpr import evaluate, parse
 
-__all__ = ["main", "RunSpec", "PRESETS"]
+__all__ = ["main", "PRESETS"]
 
 log = logging.getLogger("curvflow.cli")
 
 
 class CliUsageError(CurvFlowError):
     pass
-
-
-@dataclass
-class RunSpec:
-    """Fully resolved description of one run (manifold + potential + config)."""
-
-    man: DiscreteManifold
-    psi: np.ndarray
-    psi_text: str
-    u0: np.ndarray
-    cfg: flow.FlowConfig
 
 
 # Frozen presets.  thm2: strictly negative constant potential, where the
@@ -184,8 +172,8 @@ def resolve_c(raw, man: DiscreteManifold, default: float = 1.0) -> float:
     return value
 
 
-def resolve_problem(args) -> tuple[DiscreteManifold, str, np.ndarray, float, float]:
-    """Manifold, psi text, psi, p and c of a subcommand, in that order.
+def resolve_problem(args) -> tuple[DiscreteManifold, np.ndarray, float, float]:
+    """Manifold, psi, p and c of a subcommand, in that order.
 
     Flags win; a --preset fills in what they leave unset.  Subcommands
     without --p or --c get the preset's value or the default (3 and 1).
@@ -200,7 +188,7 @@ def resolve_problem(args) -> tuple[DiscreteManifold, str, np.ndarray, float, flo
     if p is None:
         p = preset.get("p", 3.0)
     c = resolve_c(getattr(args, "c", None), man, default=preset.get("c", 1.0))
-    return man, psi_text, psi, p, c
+    return man, psi, p, c
 
 
 def _flow_config(args, **fields) -> flow.FlowConfig:
@@ -216,22 +204,33 @@ def _flow_config(args, **fields) -> flow.FlowConfig:
     )
 
 
-def build_runspec(args) -> RunSpec:
-    man, psi_text, psi, p, c = resolve_problem(args)
-    cfg = _flow_config(args, scheme=args.scheme, p=p, c=c)
-    if args.preset:
-        u0 = preset_u0(args.preset, man, args.seed)
-    else:
-        u0 = spectral.lognormal_field(man, args.seed)
-    return RunSpec(man=man, psi=psi, psi_text=psi_text, u0=u0, cfg=cfg)
-
-
 def _output(path: str | None):
     """--out opened for writing (None without it) before the flow runs, so an
     unwritable path fails before any step; a run that raises leaves an empty file."""
     if not path:
         return nullcontext()
     return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _traced(path: str | None, run) -> flow.FlowResult:
+    """run() with --out opened first; the trace of its result is written there."""
+    with _output(path) as out:
+        result = run()
+        if out:
+            flow.write_trace_csv(result.trace, out)
+    return result
+
+
+def _flow_run(args) -> tuple[DiscreteManifold, np.ndarray, flow.FlowConfig, flow.FlowResult]:
+    """The flow of run and oracle: from the preset's start or the seeded
+    log-normal field, with its trace written to --out."""
+    man, psi, p, c = resolve_problem(args)
+    cfg = _flow_config(args, scheme=args.scheme, p=p, c=c)
+    if args.preset:
+        u0 = preset_u0(args.preset, man, args.seed)
+    else:
+        u0 = spectral.lognormal_field(man, args.seed)
+    return man, psi, cfg, _traced(args.out, lambda: flow.run_flow(man, psi, u0, cfg))
 
 
 def _summary(result: flow.FlowResult) -> str:
@@ -246,17 +245,13 @@ def _summary(result: flow.FlowResult) -> str:
 
 
 def cmd_run(args) -> int:
-    spec = build_runspec(args)
-    with _output(args.out) as out:
-        result = flow.run_flow(spec.man, spec.psi, spec.u0, spec.cfg)
-        if out:
-            flow.write_trace_csv(result.trace, out)
+    _, _, _, result = _flow_run(args)
     print(_summary(result))
     return 2 if result.stop == flow.STOP_POSITIVITY else 0
 
 
 def cmd_eigen(args) -> int:
-    man, _, psi, _, c = resolve_problem(args)
+    man, psi, _, c = resolve_problem(args)
     res = spectral.lambda1(man, psi, c=c)
     print(f"lambda1={res.lambda1:.12g} residual={res.residual:.3e} "
           f"iterations={res.iterations}")
@@ -264,17 +259,11 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = build_runspec(args)
-    with _output(args.out) as out:
-        result = flow.run_flow(spec.man, spec.psi, spec.u0, spec.cfg)
-        if out:
-            flow.write_trace_csv(result.trace, out)
+    man, psi, cfg, result = _flow_run(args)
     if result.stop == flow.STOP_POSITIVITY:
         print(_summary(result))
         return 2
-    newt = elliptic.newton_constrained(
-        spec.man, spec.psi, spec.cfg.c, spec.cfg.p, result.final.u
-    )
+    newt = elliptic.newton_constrained(man, psi, cfg.c, cfg.p, result.final.u)
     u_gap = float(np.max(np.abs(newt.u - result.final.u)))
     r_gap = abs(newt.r - result.final.r)
     print(f"stop={result.stop} r_flow={result.r_infinity:.10g} "
@@ -284,12 +273,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    man, _, psi, _, _ = resolve_problem(args)
+    man, psi, _, _ = resolve_problem(args)
     u0 = np.zeros(man.node_count)
-    with _output(args.out) as out:
-        result = gauss.run_gauss_flow(man, psi, u0, _flow_config(args))
-        if out:
-            flow.write_trace_csv(result.trace, out)
+    result = _traced(args.out, lambda: gauss.run_gauss_flow(man, psi, u0, _flow_config(args)))
     last = result.trace[-1]
     print(f"stop={result.stop} r={result.r_infinity:.10g} f={last.f:.6g} "
           f"area_drift={last.norm_err:.3e} steps={last.step}")
@@ -297,24 +283,20 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.starts < 1:
-        raise CliUsageError("--starts must be >= 1")
-    man, _, psi, p, c = resolve_problem(args)
+    man, psi, p, c = resolve_problem(args)
     cfg = _flow_config(args, scheme=args.scheme, p=p, c=c)
-    rows = []
+    starts = spectral.relax_many(man, psi, cfg, args.starts, args.seed)
+    lines = ["start,r_final,E_final,stop"]
     best = math.inf
+    failed = False
     with _output(args.out) as out:
-        for i in range(args.starts):
-            u0 = spectral.lognormal_field(man, (args.seed, i))
-            result = flow.run_flow(man, psi, u0, cfg)
-            E = spectral.energy_E(man, result.final.u, psi, c, p)
+        for i, (result, E) in enumerate(starts):
+            lines.append(f"{i},{result.final.r:.16e},{E:.16e},{result.stop}")
             best = min(best, E)
-            rows.append((i, result.final.r, E, result.stop))
-        lines = ["start,r_final,E_final,stop"]
-        lines += [f"{i},{r:.16e},{E:.16e},{stop}" for i, r, E, stop in rows]
+            failed = failed or result.stop == flow.STOP_POSITIVITY
         (out or sys.stdout).write("\n".join(lines) + "\n")
     print(f"Y_psi_upper={best:.12g}")
-    return 0
+    return 2 if failed else 0
 
 
 def _build_parser() -> _Parser:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvFlowError, DimensionMismatch, SizeMismatch
+from .errors import CurvFlowError, DimensionMismatch
 from .flow import FlowConfig, FlowResult, TraceRecord, _drive
-from .manifold import DiscreteManifold, integrate, laplacian_apply
+from .manifold import DiscreteManifold, _check_field, integrate, laplacian_apply
 
 __all__ = ["GaussState", "k_psi", "gauss_r", "run_gauss_flow"]
 
@@ -40,13 +40,6 @@ class GaussState:
 def _check_2d(man: DiscreteManifold) -> None:
     if man.dim != 2:
         raise DimensionMismatch(f"defined for 2-dimensional manifolds, got dim {man.dim}")
-
-
-def _check_field(man: DiscreteManifold, f: np.ndarray, name: str) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (man.node_count,):
-        raise SizeMismatch(f"{name} has shape {f.shape}, expected ({man.node_count},)")
-    return f
 
 
 def k_psi(man: DiscreteManifold, u: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -13,15 +13,16 @@ starts.  The energy
     E(u) = (c \\int |grad u|^2 + \\int psi u^2) / (\\int |u|^{p+1})^{2/(p+1)}
 
 is zero-homogeneous; its infimum over positive fields shares the sign of
-lambda1, and estimate_Y brackets it from above by relaxing a batch of
-seeded log-normal random fields with the flow and taking the best final
-energy.  The estimate is an upper bound by construction, which is why the
-CLI labels it Y_psi_upper.
+lambda1.  relax_many relaxes seeded log-normal random fields with the
+flow and yields each final energy; estimate_Y brackets the infimum from
+above by the least of them.  The estimate is an upper bound by
+construction, which is why the CLI labels it Y_psi_upper.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "EigenResult",
     "lambda1",
     "energy_E",
+    "relax_many",
     "estimate_Y",
     "y_sphere_constant",
     "lognormal_field",
@@ -167,7 +169,7 @@ def lognormal_field(
     """
     try:
         rng = np.random.default_rng(seed)
-    except ValueError as exc:  # numpy's message for a negative entry
+    except (TypeError, ValueError) as exc:  # numpy's messages: non-integer, negative
         raise ConfigError(f"bad seed {seed!r}: {exc}") from exc
     white = rng.standard_normal(man.node_count)
     ell = corr_fraction * man.bbox_diameter
@@ -181,6 +183,33 @@ def lognormal_field(
     return np.exp(amplitude * (g / std))
 
 
+def relax_many(
+    man: DiscreteManifold,
+    psi: np.ndarray,
+    cfg: flowmod.FlowConfig,
+    n_starts: int,
+    seed: int = 0,
+) -> Iterator[tuple[flowmod.FlowResult, float]]:
+    """Relax n_starts seeded log-normal fields with the flow, one at a time
+    as the caller pulls them; yield (FlowResult, E of its final field).
+
+    Start i draws from substream (seed, i), so results are reproducible and
+    independent of batch order.  Every start is yielded, whatever its stop;
+    E uses cfg's p and c, the ones the flow ran with.
+    """
+    if n_starts < 1:
+        raise ConfigError("n_starts must be >= 1")
+    psi = np.asarray(psi, dtype=float)
+
+    def starts():  # nested, so n_starts is checked before any start is pulled
+        for i in range(n_starts):
+            # through the module attribute, so a patched run_flow sees each start
+            result = flowmod.run_flow(man, psi, lognormal_field(man, (seed, i)), cfg)
+            yield result, energy_E(man, result.final.u, psi, cfg.c, cfg.p)
+
+    return starts()
+
+
 def estimate_Y(
     man: DiscreteManifold,
     psi: np.ndarray,
@@ -189,33 +218,25 @@ def estimate_Y(
     n_starts: int = 8,
     seed: int = 0,
     cfg: flowmod.FlowConfig | None = None,
-    scale: float = 1.0,
 ) -> float:
-    """Upper estimate of inf E over positive fields: best flow limit energy
-    over n_starts seeded log-normal initial fields.
+    """Upper estimate of inf E over positive fields: the least final energy
+    of relax_many's starts.  cfg defaults to imex at dt0 1e-3 up to t = 200;
+    a given cfg must carry this p and c, since the flow runs with its own.
 
-    Each start i draws from substream (seed, i), so results are
-    reproducible and independent of batch order.  scale multiplies every
-    starting field by a common positive factor; since E is zero-homogeneous
-    and the flow renormalizes at t = 0 the estimate does not depend on it.
-    Runs that merely hit the time or step budget still contribute (any
-    positive field gives an upper bound); a positivity failure aborts,
-    since it leaves no field to evaluate.
+    Runs that merely hit the time or step budget still count (any positive
+    field bounds inf E).  A positivity failure aborts at the first failing
+    start: its last field is positive too, but cfg could not relax it, and
+    its energy would weaken the estimate without a word.
     """
-    psi = np.asarray(psi, dtype=float)
-    if n_starts < 1:
-        raise ConfigError("n_starts must be >= 1")
-    if scale <= 0:
-        raise ConfigError("scale must be positive")
     if cfg is None:
         cfg = flowmod.FlowConfig(scheme="imex", dt0=1e-3, t_max=200.0, p=p, c=c)
+    elif (cfg.p, cfg.c) != (p, c):
+        raise ConfigError(f"cfg has p={cfg.p}, c={cfg.c}; estimate_Y got p={p}, c={c}")
     best = math.inf
-    for i in range(n_starts):
-        u0 = scale * lognormal_field(man, (seed, i))
-        result = flowmod.run_flow(man, psi, u0, cfg)
+    for i, (result, E) in enumerate(relax_many(man, psi, cfg, n_starts, seed)):
         if result.stop == flowmod.STOP_POSITIVITY:
             raise CurvFlowError(f"relaxation from start {i} lost positivity")
-        best = min(best, energy_E(man, result.final.u, psi, c, p))
+        best = min(best, E)
     return best
 
 

@@ -192,6 +192,17 @@ def test_sweep_determinism_and_bound(tmp_path):
     assert y == pytest.approx(-np.sqrt(2.0 * np.pi), abs=1e-4)
 
 
+def test_sweep_positivity_failure_exit_code(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = run_cli("sweep", "--torus", f"32:{TWO_PI_STR}", "--psi", "-1", "--starts", "2",
+                  "--dt0", "10", "--safety", "50", "--tmax", "10", "--out", str(out))
+    assert res.returncode == 2
+    # every start still gets its row, and the bound is still printed
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[3] for row in rows] == ["PositivityFailure"] * 2
+    assert np.isfinite(float(field(res.stdout, "Y_psi_upper")))
+
+
 def test_log_env_var():
     res = run_cli("eigen", "--torus", "32:1", "--psi", "0",
                   env_extra={"CURVFLOW_LOG": "bogus"})

@@ -3,14 +3,22 @@ import pytest
 import scipy.linalg as sla
 from scipy import sparse
 
-from curvflow.errors import ConfigError, InvalidDimension, SizeMismatch, ZeroDenominator
-from curvflow.flow import FlowConfig
+from curvflow import flow as flowmod
+from curvflow.errors import (
+    ConfigError,
+    CurvFlowError,
+    InvalidDimension,
+    SizeMismatch,
+    ZeroDenominator,
+)
+from curvflow.flow import STOP_POSITIVITY, FlowConfig
 from curvflow.manifold import integrate
 from curvflow.spectral import (
     energy_E,
     estimate_Y,
     lambda1,
     lognormal_field,
+    relax_many,
     y_sphere_constant,
 )
 
@@ -98,19 +106,51 @@ def test_estimate_constant_potential_minimizer(circle64):
         assert y == pytest.approx(a * SQRT_2PI, abs=1e-6)
 
 
-def test_estimate_scale_invariance(circle64):
-    psi = np.cos(circle64.coordinates[:, 0])
-    cheap = FlowConfig(scheme="imex", dt0=1e-3, t_max=2.0, tol_f=1e-12)
-    y1 = estimate_Y(circle64, psi, 1.0, 3.0, n_starts=1, seed=4, cfg=cheap)
-    y2 = estimate_Y(circle64, psi, 1.0, 3.0, n_starts=1, seed=4, cfg=cheap, scale=7.3)
-    assert abs(y1 - y2) <= 1e-9
-
-
 def test_estimate_argument_checks(circle64):
     with pytest.raises(ValueError):
         estimate_Y(circle64, np.zeros(64), 1.0, 3.0, n_starts=0)
-    with pytest.raises(ValueError):
-        estimate_Y(circle64, np.zeros(64), 1.0, 3.0, scale=-2.0)
+    with pytest.raises(ConfigError):  # at the call, before any start is pulled
+        relax_many(circle64, np.zeros(64), LEAN, 0)
+
+
+def test_estimate_Y_rejects_cfg_with_other_p_or_c(circle64):
+    # the flow would relax cfg's problem, not the one E is taken for
+    for cfg in (FlowConfig(p=5.0), FlowConfig(c=2.0)):
+        with pytest.raises(ConfigError):
+            estimate_Y(circle64, -np.ones(64), 1.0, 3.0, n_starts=1, cfg=cfg)
+
+
+def test_relax_many_yields_each_start_in_order(circle64, monkeypatch):
+    psi = np.cos(circle64.coordinates[:, 0])
+    cfg = FlowConfig(scheme="imex", dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
+    # every start goes through the module's run_flow, so a patched one sees it
+    seen = []
+    inner = flowmod.run_flow
+
+    def watched(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(flowmod, "run_flow", watched)
+    starts = relax_many(circle64, psi, cfg, 2, seed=3)
+    assert seen == []  # nothing runs before the first start is pulled
+    pairs = list(starts)
+    assert len(seen) == 2 and all(res is s for (res, _), s in zip(pairs, seen))
+    for i, (res, E) in enumerate(pairs):
+        solo = inner(circle64, psi, lognormal_field(circle64, (3, i)), cfg)
+        np.testing.assert_array_equal(res.final.u, solo.final.u)
+        assert E == energy_E(circle64, solo.final.u, psi, 0.7, 2.5)
+
+
+def test_positivity_failure_is_yielded_by_relax_many_and_aborts_estimate_Y(circle64):
+    # steps far too large for the explicit scheme: every start loses
+    # positivity within a few hundred steps, with a positive last field
+    doomed = FlowConfig(dt0=10.0, safety=50.0, t_max=10.0)
+    starts = list(relax_many(circle64, -np.ones(64), doomed, 2, seed=0))
+    assert [res.stop for res, _ in starts] == [STOP_POSITIVITY] * 2
+    assert all(res.final.u.min() > 0 and np.isfinite(E) for res, E in starts)
+    with pytest.raises(CurvFlowError, match="start 0 lost positivity"):
+        estimate_Y(circle64, -np.ones(64), 1.0, 3.0, n_starts=2, seed=0, cfg=doomed)
 
 
 def test_sphere_constant_reference_values():
@@ -150,7 +190,7 @@ def test_lognormal_field_smooth(circle256):
     assert jumps.max() < 0.1 * spread
 
 
-@pytest.mark.parametrize("seed", [-1, (-1, 0), (0, -1)])
+@pytest.mark.parametrize("seed", [-1, (-1, 0), (0, -1), 1.5, "a"])
 def test_lognormal_field_rejects_negative_seed(circle64, seed):
     with pytest.raises(ConfigError):
         lognormal_field(circle64, seed)
