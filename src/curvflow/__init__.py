@@ -37,7 +37,7 @@ from .manifold import (
     laplacian_apply,
     load_off_mesh,
 )
-from .psiexpr import PsiSpec, evaluate, format_expr, parse
+from .psiexpr import PsiSpec, evaluate, parse
 from .spectral import (
     EigenResult,
     energy_E,

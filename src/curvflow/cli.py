@@ -32,8 +32,6 @@ from .psiexpr import evaluate, parse
 
 __all__ = ["main", "PRESETS"]
 
-log = logging.getLogger("curvflow.cli")
-
 
 class CliUsageError(CurvFlowError):
     pass
@@ -233,15 +231,16 @@ def _flow_run(args) -> tuple[DiscreteManifold, np.ndarray, flow.FlowConfig, flow
     return man, psi, cfg, _traced(args.out, lambda: flow.run_flow(man, psi, u0, cfg))
 
 
+def _decay_rate(result: flow.FlowResult) -> str:
+    rate = result.decay_rate
+    return "" if rate is None else f" decay_rate={rate:.10g}"
+
+
 def _summary(result: flow.FlowResult) -> str:
     last = result.trace[-1]
-    line = (
-        f"stop={result.stop} r_inf={result.r_infinity:.10g} "
-        f"f={last.f:.6g} res={last.res_linf:.6g} steps={result.final.step}"
-    )
-    if result.decay_rate is not None:
-        line += f" decay_rate={result.decay_rate:.10g}"
-    return line
+    return (f"stop={result.stop} r_inf={result.r_infinity:.10g} "
+            f"f={last.f:.6g} res={last.res_linf:.6g} steps={result.final.step}"
+            + _decay_rate(result))
 
 
 def cmd_run(args) -> int:
@@ -268,7 +267,7 @@ def cmd_oracle(args) -> int:
     r_gap = abs(newt.r - result.final.r)
     print(f"stop={result.stop} r_flow={result.r_infinity:.10g} "
           f"r_newton={newt.r:.10g} u_gap={u_gap:.3e} r_gap={r_gap:.3e} "
-          f"newton_iterations={newt.iterations}")
+          f"newton_iterations={newt.iterations}" + _decay_rate(result))
     return 0
 
 

@@ -21,14 +21,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .errors import (
-    NewtonNoConvergence,
-    NonPositiveField,
-    PositivityLost,
-    SizeMismatch,
-    ZeroDenominator,
+from .errors import NewtonNoConvergence, NonPositiveField, PositivityLost, ZeroDenominator
+from .manifold import (
+    DiscreteManifold,
+    _check_field,
+    dirichlet_energy,
+    integrate,
+    laplacian_apply,
 )
-from .manifold import DiscreteManifold, dirichlet_energy, integrate, laplacian_apply
 
 __all__ = ["NewtonResult", "newton_constrained", "residual_linf"]
 
@@ -46,9 +46,7 @@ def residual_linf(
     man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float, r: float
 ) -> float:
     """Max-norm of the stationary defect -c Lap(u) + psi u - r u^p."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (man.node_count,):
-        raise SizeMismatch(f"u has shape {u.shape}, expected ({man.node_count},)")
+    u = _check_field(man, u, "u")
     psi = np.asarray(psi, dtype=float)
     defect = -c * laplacian_apply(man, u) + psi * u - r * u**p
     return float(np.max(np.abs(defect)))
@@ -75,9 +73,7 @@ def newton_constrained(
     positivity as the obstacle raises PositivityLost, anything else that
     stalls (or exceeding max_iter) raises NewtonNoConvergence.
     """
-    u = np.asarray(u_init, dtype=float)
-    if u.shape != (man.node_count,):
-        raise SizeMismatch(f"u_init has shape {u.shape}, expected ({man.node_count},)")
+    u = _check_field(man, u_init, "u_init")
     if not np.all(u > 0):
         raise NonPositiveField("u_init must be strictly positive")
     psi = np.asarray(psi, dtype=float)

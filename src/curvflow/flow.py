@@ -21,15 +21,14 @@ along exact trajectories) and the stationarity residual in max norm.
 _drive is the package's one run loop: run_flow and gauss.run_gauss_flow
 hand it a stepper, and it owns stopping, budgets, dt halving and thinning.
 
-The run loop and both public steppers go through private kernels:
-_settle checks an update once and projects it, forming u^{p+1} once per
-normalization pass; _diagnose reuses that power for R, f and the
-residual; the imex Newton matrix is written into a sparsity pattern built
-once per run.  The kernels repeat the arithmetic of the public helpers
-(normalize, rayleigh_r, pseudo_scalar_curvature, make_flow_state,
-f_diagnostic) operation for operation, so a run is bit-identical to one
-composed from those helpers, which remain the reference the tests check
-the kernels against.
+Each formula of the flow is written once, as a private kernel on arrays
+that are already validated: R (_curvature), the quadratic form over a
+given denominator (_quotient), the checked constraint integral
+(_integral), the two-pass projection (_project), and f with the residual
+(_diagnose).  The public helpers validate and call them, and the run
+loop's _settle is built from them, so a run composes the arithmetic the
+helpers expose.  The imex Newton matrix is written into a sparsity
+pattern built once per run.
 """
 
 from __future__ import annotations
@@ -49,11 +48,10 @@ from .errors import (
     IllConditionedInitialData,
     NewtonNoConvergence,
     NonPositiveField,
-    SizeMismatch,
     StepRejectedPositivity,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, dirichlet_energy, integrate, laplacian_apply
+from .manifold import DiscreteManifold, _check_field
 
 __all__ = [
     "FlowState",
@@ -82,6 +80,10 @@ STOP_CONVERGED = "Converged"
 STOP_MAX_STEPS = "MaxSteps"
 STOP_TMAX = "TmaxReached"
 STOP_POSITIVITY = "PositivityFailure"
+
+# the imex inner Newton: tolerance on max |F| relative to max(1, |target|)
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
 
 
 def default_c(n: int) -> float:
@@ -175,59 +177,91 @@ class FlowResult:
     decay_rate: float | None = None
 
 
-def _positive_field(man: DiscreteManifold, u: np.ndarray, name: str = "u") -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (man.node_count,):
-        raise SizeMismatch(f"{name} has shape {u.shape}, expected ({man.node_count},)")
+def _positive_field(man: DiscreteManifold, u: np.ndarray) -> np.ndarray:
+    u = _check_field(man, u, "u")
     if not np.all(u > 0):
-        raise NonPositiveField(f"{name} must be strictly positive everywhere")
+        raise NonPositiveField("u must be strictly positive everywhere")
     return u
+
+
+def _curvature(
+    man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float
+) -> np.ndarray:
+    """R = u^{-p} (-c Lap(u) + psi u)."""
+    lap = -(man.stiffness @ u) / man.mass
+    return u ** (-p) * (-c * lap + psi * u)
+
+
+def _integral(mass: np.ndarray, u: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    """(\\int u^{p+1} dv, u^{p+1}); zero or non-finite raises ZeroDenominator."""
+    upw = u ** (p + 1.0)
+    s = float(np.dot(mass, upw))
+    if s == 0 or not math.isfinite(s):
+        raise ZeroDenominator(f"constraint integral is {s}")
+    return s, upw
+
+
+def _quotient(
+    man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, denom: float
+) -> float:
+    """(c u^T S u + \\int psi u^2) / denom, with u^T S u summed over edges as
+    w_e (u_i - u_j)^2, so it stays accurate (and nonnegative for psi >= 0)
+    even when u is within roundoff of a constant."""
+    ei, ej, w = man._edges
+    d = u[ei] - u[ej]
+    return (c * float(np.dot(w, d * d)) + float(np.dot(man.mass, psi * u * u))) / denom
+
+
+def _project(
+    mass: np.ndarray, u: np.ndarray, u_min: float, p: float
+) -> tuple[np.ndarray, float, np.ndarray, float, float]:
+    """Scale u onto \\int u^{p+1} dv = 1 in two passes, carrying u_min = u.min().
+
+    The second pass removes the O(eps) residue the rounded (p+1)-th root
+    leaves behind.  Returns (u, u.min(), u^{p+1}, the integral before, after).
+    """
+    e = 1.0 / (p + 1.0)
+    s, upw = _integral(mass, u, p)
+    before = s
+    for _ in range(2):
+        k = s**e
+        u = u / k
+        u_min = u_min / k  # rounding is monotone, so this is exactly u.min()
+        s, upw = _integral(mass, u, p)
+    return u, u_min, upw, before, s
+
+
+def _diagnose(
+    man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, c: float, p: float, r: float,
+    upw: np.ndarray,
+) -> tuple[np.ndarray, float, float]:
+    """R, f = \\int (R - r)^2 u^{p+1} dv and the stationarity residual
+    max |u^p (R - r)|, given upw = u^{p+1}."""
+    R = _curvature(man, u, psi, c, p)
+    dev = R - r
+    return R, float(np.dot(man.mass, dev * dev * upw)), float(np.abs(upw / u * dev).max())
 
 
 def pseudo_scalar_curvature(
     man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float
 ) -> np.ndarray:
     """R = u^{-p} (-c Lap(u) + psi u), the scalar invariant the flow equalizes."""
-    u = _positive_field(man, u)
-    psi = np.asarray(psi, dtype=float)
-    lap = laplacian_apply(man, u)
-    return u ** (-p) * (-c * lap + psi * u)
+    return _curvature(man, _positive_field(man, u), _check_field(man, psi, "psi"), c, p)
 
 
 def rayleigh_r(
     man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float
 ) -> float:
-    """(c u^T S u + \\int psi u^2) / \\int u^{p+1}.
-
-    Equals the u^{p+1}-weighted mean of R; the Dirichlet part is evaluated
-    edge-wise so the value stays accurate (and nonnegative for psi >= 0)
-    even when u is within roundoff of a constant.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (man.node_count,):
-        raise SizeMismatch(f"u has shape {u.shape}, expected ({man.node_count},)")
-    psi = np.asarray(psi, dtype=float)
-    denom = integrate(man, u ** (p + 1.0))
-    if denom == 0 or not math.isfinite(denom):
-        raise ZeroDenominator(f"constraint integral is {denom}")
-    num = c * dirichlet_energy(man, u) + integrate(man, psi * u * u)
-    return num / denom
+    """(c u^T S u + \\int psi u^2) / \\int u^{p+1}, the u^{p+1}-weighted mean of R."""
+    u = _check_field(man, u, "u")
+    psi = _check_field(man, psi, "psi")
+    return _quotient(man, u, psi, c, _integral(man.mass, u, p)[0])
 
 
 def normalize(man: DiscreteManifold, u: np.ndarray, p: float) -> np.ndarray:
-    """Scale u so the constraint integral \\int u^{p+1} dv equals 1.
-
-    Two correction passes: the second removes the O(eps) residue the
-    rounded (p+1)-th root leaves behind, putting the result within a few
-    ulps of the constraint surface.
-    """
+    """Scale u so the constraint integral \\int u^{p+1} dv equals 1 within a few ulps."""
     u = _positive_field(man, u)
-    for _ in range(2):
-        s = integrate(man, u ** (p + 1.0))
-        if s == 0 or not math.isfinite(s):
-            raise ZeroDenominator(f"constraint integral is {s}")
-        u = u / s ** (1.0 / (p + 1.0))
-    return u
+    return _project(man.mass, u, float(u.min()), p)[0]
 
 
 def make_flow_state(
@@ -247,21 +281,14 @@ def make_flow_state(
                      norm_err=float(norm_err))
 
 
-def _diagnose(
-    man: DiscreteManifold, psi: np.ndarray, state: FlowState, upw: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """R, f and the stationarity residual of a state, given upw = u^{p+1}.
-
-    Same arithmetic as pseudo_scalar_curvature and f_diagnostic, without
-    re-validating the field.
-    """
-    u, p = state.u, state.p
-    lap = -(man.stiffness @ u) / man.mass
-    R = u ** (-p) * (-state.c * lap + psi * u)
-    dev = R - state.r
-    f = float(np.dot(man.mass, dev * dev * upw))
-    res = float(np.abs(upw / u * dev).max())  # u^p (R - r)
-    return R, f, res
+def f_diagnostic(
+    man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float
+) -> float:
+    """Decay functional f = \\int (R - r)^2 u^{p+1} dv; zero exactly at stationary states."""
+    u = _positive_field(man, u)
+    psi = _check_field(man, psi, "psi")
+    s, upw = _integral(man.mass, u, p)
+    return _diagnose(man, psi, u, c, p, _quotient(man, u, psi, c, s), upw)[1]
 
 
 def _settle(
@@ -274,41 +301,22 @@ def _settle(
 ) -> tuple[FlowState, np.ndarray, float]:
     """Check an accepted update of `state` and project it onto the constraint.
 
-    Reproduces normalize, the drift check and make_flow_state operation
-    for operation, but checks the update once and forms u^{p+1} once per
-    projection pass.  Returns (state, u^{p+1}, u.min()); the middle one
-    is what _diagnose needs.
+    Checks the update once and forms u^{p+1} once per projection pass.
+    Returns (state, u^{p+1}, u.min()); the middle one is what _diagnose
+    needs.
     """
     m = float(unew.min())
     if m <= 0.0:
         raise StepRejectedPositivity(f"{scheme} step dt={dt:.3e} lost positivity")
     if math.isnan(m):
         raise NonPositiveField("u must be strictly positive everywhere")
-    p, mass = state.p, man.mass
-    q = p + 1.0
-    e = 1.0 / q
-    u, u_min, upw = unew, m, unew**q
-    s = float(np.dot(mass, upw))
-    norm_err = s - 1.0
-    for _ in range(2):
-        if s == 0 or not math.isfinite(s):
-            raise ZeroDenominator(f"constraint integral is {s}")
-        k = s**e
-        u = u / k
-        u_min = u_min / k  # rounding is monotone, so this is exactly u.min()
-        upw = u**q
-        s = float(np.dot(mass, upw))
+    u, u_min, upw, before, s = _project(man.mass, unew, m, state.p)
     drift = s - 1.0
     if abs(drift) > 1e-13:
         raise CurvFlowError(f"projection left constraint drift {drift:.3e}")
-    if s == 0 or not math.isfinite(s):
-        raise ZeroDenominator(f"constraint integral is {s}")
-    ei, ej, w = man._edges
-    d = u[ei] - u[ej]
-    r = (state.c * float(np.dot(w, d * d)) + float(np.dot(mass, psi * u * u))) / s
-    new = FlowState(u=u, t=float(state.t + dt), step=state.step + 1, p=p, c=state.c, r=r,
-                    norm_err=norm_err)
-    return new, upw, u_min
+    r = _quotient(man, u, psi, state.c, s)
+    return FlowState(u=u, t=float(state.t + dt), step=state.step + 1, p=state.p, c=state.c,
+                     r=r, norm_err=before - 1.0), upw, u_min
 
 
 def _explicit_update(
@@ -326,8 +334,8 @@ def step_explicit(
     man: DiscreteManifold, psi: np.ndarray, state: FlowState, dt: float
 ) -> FlowState:
     """One explicit Euler step followed by projection onto the constraint."""
-    psi = np.asarray(psi, dtype=float)
-    R = pseudo_scalar_curvature(man, state.u, psi, state.c, state.p)
+    psi = _check_field(man, psi, "psi")
+    R = _curvature(man, _positive_field(man, state.u), psi, state.c, state.p)
     return _explicit_update(man, psi, state, dt, R)[0]
 
 
@@ -376,8 +384,6 @@ def _imex_update(
     dt: float,
     A: sparse.csr_matrix,
     jac: _JacobianPattern,
-    newton_tol: float = 1e-12,
-    newton_max_iter: int = 50,
 ) -> tuple[FlowState, np.ndarray, float]:
     p = state.p
     mass = man.mass
@@ -389,10 +395,10 @@ def _imex_update(
     target = w_old * (1.0 + pdt * state.r)
     scale = max(1.0, float(np.abs(target).max()))
     w = w_old.copy()
-    for _ in range(newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         u = w ** (1.0 / p)
         F = w + pdt * (A @ u) / mass - target
-        if float(np.abs(F).max()) <= newton_tol * scale:
+        if float(np.abs(F).max()) <= _NEWTON_TOL * scale:
             break
         dudw = (1.0 / p) * w ** (1.0 / p - 1.0)
         delta = spsolve(jac.fill(mass, pdt, dudw), -mass * F)
@@ -401,7 +407,8 @@ def _imex_update(
             raise StepRejectedPositivity(f"imex Newton iterate lost positivity at dt={dt:.3e}")
     else:
         raise NewtonNoConvergence(
-            f"imex inner Newton did not reach {newton_tol:.1e} in {newton_max_iter} iterations"
+            f"imex inner Newton did not reach {_NEWTON_TOL:.1e} "
+            f"in {_NEWTON_MAX_ITER} iterations"
         )
     # u = w^{1/p} of the converged iterate
     return _settle(man, psi, state, dt, u, "imex")
@@ -416,7 +423,7 @@ def step_imex(
     w+), the constraint-coupling term r w explicitly with r frozen at the
     step start; projection as in step_explicit.
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = _check_field(man, psi, "psi")
     _positive_field(man, state.u)
     A = _imex_operator(man, psi, state.c)
     return _imex_update(man, psi, state, dt, A, _JacobianPattern(A))[0]
@@ -455,16 +462,6 @@ def sigma_shift(R0: np.ndarray) -> float:
     return float(max(1.0 - R0.min(), 1.0))
 
 
-def f_diagnostic(
-    man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float
-) -> float:
-    """Decay functional f = \\int (R - r)^2 u^{p+1} dv; zero exactly at stationary states."""
-    psi = np.asarray(psi, dtype=float)
-    R = pseudo_scalar_curvature(man, u, psi, c, p)
-    r = rayleigh_r(man, u, psi, c, p)
-    return integrate(man, (R - r) ** 2 * np.asarray(u, dtype=float) ** (p + 1.0))
-
-
 def _fit_decay_rate(trace: Sequence[TraceRecord], psi: np.ndarray) -> float | None:
     """Least-squares slope of log r over the trailing half of the trace.
 
@@ -487,13 +484,16 @@ def _fit_decay_rate(trace: Sequence[TraceRecord], psi: np.ndarray) -> float | No
 
 class _Stepper:
     """run_flow's stepper for _drive; the scheme is picked once, here.  The
-    explicit step reuses the u_min and R that the trace row also shows."""
+    explicit step reuses the u_min and R that the trace row also shows.
+    The first graze of the shifted-curvature bound is a warning, later ones
+    are debug lines, so a grazing run does not flood stderr."""
 
     def __init__(self, man: DiscreteManifold, psi: np.ndarray, state: FlowState,
-                 cfg: FlowConfig):
+                 upw: np.ndarray, u_min: float, cfg: FlowConfig):
         self.man, self.psi = man, psi
-        self._enter(state, state.u ** (state.p + 1.0), float(state.u.min()))
+        self._enter(state, upw, u_min)
         self.sigma = sigma_shift(self.R)
+        self._graze_level = logging.WARNING
         p, c = state.p, state.c
         if cfg.scheme == "imex":
             A = _imex_operator(man, psi, c)
@@ -506,7 +506,8 @@ class _Stepper:
 
     def _enter(self, state: FlowState, upw: np.ndarray, u_min: float) -> None:
         self.state, self.t, self.step, self.u_min = state, state.t, state.step, u_min
-        self.R, self.f, self.res = _diagnose(self.man, self.psi, state, upw)
+        self.R, self.f, self.res = _diagnose(self.man, self.psi, state.u, state.c, state.p,
+                                             state.r, upw)
         self.R_min = float(self.R.min())
 
     def dt(self) -> float:
@@ -517,10 +518,12 @@ class _Stepper:
         self._enter(*self._update(self.state, dt, self.R))
         sigma = self.sigma
         if self.R_min + sigma < 1.0 - 1e-6 * sigma:
-            log.warning(
+            log.log(
+                self._graze_level,
                 "shifted-curvature bound grazed at step %d: min R + sigma = %.6e",
                 self.step, self.R_min + sigma,
             )
+            self._graze_level = logging.DEBUG
 
     def record(self, dt: float) -> TraceRecord:
         state = self.state
@@ -594,15 +597,16 @@ def run_flow(
     stop = "PositivityFailure" (the partial trace is still returned).
     """
     cfg.validate()
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (man.node_count,):
-        raise SizeMismatch(f"psi has shape {psi.shape}, expected ({man.node_count},)")
-    u = normalize(man, u0, cfg.p)
-    if u.min() < 1e-10:
+    psi = _check_field(man, psi, "psi")
+    u0 = _positive_field(man, u0)
+    # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
+    u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), cfg.p)
+    if u_min < 1e-10:
         raise IllConditionedInitialData(
-            f"normalized initial field has min {u.min():.3e} < 1e-10"
-        )
-    stepper = _Stepper(man, psi, make_flow_state(man, psi, u, 0.0, 0, cfg.p, cfg.c), cfg)
+            f"normalized initial field has min {u_min:.3e} < 1e-10")
+    state = FlowState(u=u, t=0.0, step=0, p=float(cfg.p), c=float(cfg.c),
+                      r=_quotient(man, u, psi, cfg.c, s))
+    stepper = _Stepper(man, psi, state, upw, u_min, cfg)
     trace, stop = _drive(cfg, stepper)
     return FlowResult(
         final=stepper.state,

@@ -42,12 +42,17 @@ def _check_2d(man: DiscreteManifold) -> None:
         raise DimensionMismatch(f"defined for 2-dimensional manifolds, got dim {man.dim}")
 
 
+def _curvature(lap: np.ndarray, psi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K = (-Lap(u) + psi) / w, given Lap(u) and w = e^{2u}."""
+    return (-lap + psi) / w
+
+
 def k_psi(man: DiscreteManifold, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """K = e^{-2u} (-Lap(u) + psi); reduces to psi itself at u = 0."""
+    """K = (-Lap(u) + psi) / e^{2u}, as the trace has it; psi itself at u = 0."""
     _check_2d(man)
     u = _check_field(man, u, "u")
     psi = _check_field(man, psi, "psi")
-    return np.exp(-2.0 * u) * (-laplacian_apply(man, u) + psi)
+    return _curvature(laplacian_apply(man, u), psi, np.exp(2.0 * u))
 
 
 def gauss_r(man: DiscreteManifold, u: np.ndarray, psi: np.ndarray) -> float:
@@ -77,7 +82,7 @@ class _GaussStepper:
         self.area = integrate(man, w)
         self.r = r = self.psi_total / self.area
         lap = laplacian_apply(man, u)
-        self.K = K = (-lap + self.psi) / w
+        self.K = K = _curvature(lap, self.psi, w)
         dev = K - r
         self.f = float(np.dot(man.mass, dev * dev * w))
         self.res = float(np.max(np.abs(lap - self.psi + r * w)))

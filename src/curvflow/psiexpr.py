@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, EvalDomainError, ParseError
 from .manifold import DiscreteManifold
 
-__all__ = ["PsiSpec", "parse", "evaluate", "format_expr"]
+__all__ = ["PsiSpec", "parse", "evaluate"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 
@@ -190,51 +190,6 @@ class _Parser:
 def parse(text: str) -> PsiSpec:
     """Parse an expression into a PsiSpec, raising ParseError with the byte offset."""
     return PsiSpec(_Parser(text).parse())
-
-
-# precedence levels used by the printer; atoms are effectively infinite
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-_ATOM = 9
-
-
-def _fmt(node: Node) -> tuple[str, int]:
-    if isinstance(node, Num):
-        return repr(node.value), _ATOM
-    if isinstance(node, Var):
-        return f"x{node.index}", _ATOM
-    if isinstance(node, Call):
-        inner, _ = _fmt(node.arg)
-        return f"{node.func}({inner})", _ATOM
-    if isinstance(node, Neg):
-        inner, prec = _fmt(node.arg)
-        # '^' binds tighter than unary minus, so -x^2 means -(x^2): no parens needed
-        if prec < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}", _PREC["neg"]
-    if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        ls, lp = _fmt(node.lhs)
-        rs, rp = _fmt(node.rhs)
-        if node.op == "^":
-            # right-associative: left child needs parens unless it is an atom
-            if lp <= p:
-                ls = f"({ls})"
-            if rp < p and rp != _PREC["neg"]:
-                # exponent position re-parses unary minus fine; anything
-                # looser (e.g. a+b) needs parens
-                rs = f"({rs})"
-        else:
-            if lp < p:
-                ls = f"({ls})"
-            if rp <= p:
-                rs = f"({rs})"
-        return f"{ls}{node.op}{rs}", p
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def format_expr(spec: PsiSpec) -> str:
-    """Render the AST back to text; parse(format_expr(s)).ast == s.ast."""
-    return _fmt(spec.ast)[0]
 
 
 def _eval(node: Node, coords: np.ndarray, ambient: int):

@@ -36,10 +36,9 @@ from .errors import (
     EigenNoConvergence,
     InnerSolverFailure,
     InvalidDimension,
-    SizeMismatch,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, dirichlet_energy, integrate
+from .manifold import DiscreteManifold, _check_field, integrate
 
 __all__ = [
     "EigenResult",
@@ -110,9 +109,7 @@ def lambda1(
     |(-c Lap + psi) u1 - lambda u1|_inf / max(1, |lambda|) with u1
     normalized to \\int u1^2 dv = 1.
     """
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (man.node_count,):
-        raise SizeMismatch(f"psi has shape {psi.shape}, expected ({man.node_count},)")
+    psi = _check_field(man, psi, "psi")
     mass = man.mass
     A = (c * man.stiffness + sparse.diags(mass * psi)).tocsr()
     shift = float(psi.min()) - 1.0
@@ -144,26 +141,23 @@ def energy_E(
     man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float
 ) -> float:
     """Scale-invariant energy; equals the Rayleigh r on the constraint surface."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (man.node_count,):
-        raise SizeMismatch(f"u has shape {u.shape}, expected ({man.node_count},)")
-    psi = np.asarray(psi, dtype=float)
+    u = _check_field(man, u, "u")
+    psi = _check_field(man, psi, "psi")
     denom = integrate(man, np.abs(u) ** (p + 1.0)) ** (2.0 / (p + 1.0))
     if denom == 0:
         raise ZeroDenominator("energy of the zero field")
-    return (c * dirichlet_energy(man, u) + integrate(man, psi * u * u)) / denom
+    return flowmod._quotient(man, u, psi, c, denom)
 
 
-def lognormal_field(
-    man: DiscreteManifold,
-    seed,
-    amplitude: float = 0.4,
-    corr_fraction: float = 0.125,
-) -> np.ndarray:
-    """Positive random field exp(a g) with g a smooth unit-variance Gaussian.
+_AMPLITUDE = 0.4
+_CORR_FRACTION = 0.125
+
+
+def lognormal_field(man: DiscreteManifold, seed) -> np.ndarray:
+    """Positive random field exp(_AMPLITUDE g), g a smooth unit-variance Gaussian.
 
     g is white noise pushed twice through the screened-Poisson smoother
-    (M + ell^2 S)^{-1} M with correlation length ell = corr_fraction times
+    (M + ell^2 S)^{-1} M with correlation length ell = _CORR_FRACTION times
     the bounding-box diameter, then standardized against the mass
     weighting.  Deterministic in the seed (tuples make substreams).
     """
@@ -172,7 +166,7 @@ def lognormal_field(
     except (TypeError, ValueError) as exc:  # numpy's messages: non-integer, negative
         raise ConfigError(f"bad seed {seed!r}: {exc}") from exc
     white = rng.standard_normal(man.node_count)
-    ell = corr_fraction * man.bbox_diameter
+    ell = _CORR_FRACTION * man.bbox_diameter
     helm = (sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc()
     g = white
     for _ in range(2):
@@ -180,7 +174,7 @@ def lognormal_field(
     vol = man.volume
     g = g - integrate(man, g) / vol
     std = math.sqrt(max(integrate(man, g * g) / vol, 1e-300))
-    return np.exp(amplitude * (g / std))
+    return np.exp(_AMPLITUDE * (g / std))
 
 
 def relax_many(

@@ -47,6 +47,11 @@ def test_run_preset_thm3_reports_decay():
     assert field(res.stdout, "stop") == "Converged"
     assert abs(float(field(res.stdout, "r_inf"))) <= 1e-8
     assert float(field(res.stdout, "decay_rate")) > 0
+    # oracle runs the same flow and reports the same fitted rate
+    res_oracle = run_cli("oracle", "--preset", "thm3")
+    assert res_oracle.returncode == 0
+    assert field(res_oracle.stdout, "decay_rate") == field(res.stdout, "decay_rate")
+    assert float(field(res_oracle.stdout, "r_gap")) <= 1e-8
 
 
 def test_run_unknown_coordinate_is_input_error():

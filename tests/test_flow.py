@@ -1,19 +1,19 @@
 import dataclasses
 import io
+import logging
 import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from curvflow import flow
 from curvflow.errors import (
     ConfigError,
     IllConditionedInitialData,
     NonPositiveField,
+    SizeMismatch,
     StepRejectedPositivity,
     ZeroDenominator,
 )
@@ -40,8 +40,9 @@ from curvflow.flow import (
     write_trace_csv,
 )
 from curvflow.manifold import integrate
-from curvflow.spectral import lambda1, lognormal_field
+from curvflow.spectral import energy_E, lambda1, lognormal_field
 
+import reference_flow as ref
 from conftest import TWO_PI, circle
 
 SQRT_2PI = math.sqrt(TWO_PI)
@@ -338,6 +339,22 @@ def test_run_positivity_failure_stop(circle64):
     assert len(res.trace) >= 1  # partial trace survives
 
 
+def test_sigma_bound_graze_warns_once_per_run(caplog):
+    # dt far beyond the stable bound: nearly every step grazes the shifted
+    # curvature bound before the run dies of positivity failure
+    man = circle(32)
+    cfg = FlowConfig(dt0=10.0, safety=50.0, t_max=10.0)
+    for i in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="curvflow.flow"):
+            res = run_flow(man, -np.ones(32), lognormal_field(man, (0, i)), cfg)
+        grazes = [rec.levelno for rec in caplog.records if "grazed" in rec.getMessage()]
+        sigma = sigma_shift([res.trace[0].R_min])
+        n = sum(rec.R_min + sigma < 1.0 - 1e-6 * sigma for rec in res.trace[1:])
+        assert res.stop == STOP_POSITIVITY and n > 1
+        assert grazes == [logging.WARNING] + [logging.DEBUG] * (n - 1)
+
+
 def test_run_rejects_ill_conditioned_start(circle64):
     u0 = np.ones(64)
     u0[0] = 1e-14
@@ -477,88 +494,95 @@ def test_normalize_scale_invariance_property(seed, scale, circle64):
     np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
-# --- step kernels against the public helpers -------------------------------
+# --- kernels and public helpers against reference_flow ----------------------
 #
 # The run loop and the steppers go through private kernels (_settle,
-# _diagnose, the imex Jacobian pattern).  They must reproduce the public
-# helpers bit for bit; the references below are the step composed from
-# those helpers, and for imex the Newton matrix assembled with sparse
+# _diagnose, the imex Jacobian pattern), and the public helpers validate
+# and call the same kernels.  reference_flow writes the formulas out
+# plainly from the manifold primitives; kernels and helpers must reproduce
+# it bit for bit, and for imex the Newton matrix assembled with sparse
 # algebra as diags(M) + pdt A diags(du/dw).
 
 
 def _kernel_case(man):
     x = man.coordinates[:, 0]
     psi = -1.0 + 0.3 * np.cos(2.0 * x)
-    u = normalize(man, lognormal_field(man, 11), 3.0)
+    u = ref.normalize(man, lognormal_field(man, 11), 3.0)
     return psi, make_flow_state(man, psi, u, t=0.5, step=7)
 
 
-def _reference_settle(man, psi, state, dt, unew):
-    p, c = state.p, state.c
-    norm_err = integrate(man, unew ** (p + 1.0)) - 1.0
-    u = normalize(man, unew, p)
-    assert abs(integrate(man, u ** (p + 1.0)) - 1.0) <= 1e-13
-    new = make_flow_state(man, psi, u, state.t + dt, state.step + 1, p, c, norm_err)
-    R = pseudo_scalar_curvature(man, u, psi, c, p)
-    f = f_diagnostic(man, u, psi, c, p)
-    res = float(np.max(np.abs(u ** (p + 1.0) / u * (R - new.r))))  # trace's res_linf
-    return new, R, f, res
-
-
-def _reference_newton_matrix(A, mass, pdt, dudw):
-    return (sparse.diags(mass) + pdt * (A @ sparse.diags(dudw))).tocsc()
-
-
-def _reference_imex(man, psi, state, dt):
-    p = state.p
-    A = (state.c * man.stiffness + sparse.diags(man.mass * psi)).tocsr()
-    mass = man.mass
-    w_old = state.u**p
-    pdt = p * dt
-    target = w_old * (1.0 + pdt * state.r)
-    scale = max(1.0, float(np.max(np.abs(target))))
-    w = w_old.copy()
-    for _ in range(50):
-        F = w + pdt * (A @ w ** (1.0 / p)) / mass - target
-        if float(np.max(np.abs(F))) <= 1e-12 * scale:
-            break
-        dudw = (1.0 / p) * w ** (1.0 / p - 1.0)
-        w = w + spsolve(_reference_newton_matrix(A, mass, pdt, dudw), -mass * F)
-    return _reference_settle(man, psi, state, dt, w ** (1.0 / p))
-
-
 def _assert_bitwise(got, want):
-    (state, R, f, res, u_min), (ref, R_ref, f_ref, res_ref) = got, want
-    assert np.array_equal(state.u, ref.u)
-    assert np.array_equal(R, R_ref)
-    assert (state.t, state.step, state.p, state.c) == (ref.t, ref.step, ref.p, ref.c)
-    assert state.r == ref.r
-    assert state.norm_err == ref.norm_err
-    assert f == f_ref
-    assert res == res_ref
-    assert u_min == ref.u.min()
+    state, R, f, res, u_min = got
+    assert np.array_equal(state.u, want.u)
+    assert np.array_equal(R, want.R)
+    assert (state.t, state.step, state.p, state.c) == (want.t, want.step, 3.0, 1.0)
+    assert state.r == want.r
+    assert state.norm_err == want.norm_err
+    assert f == want.f
+    assert res == want.res
+    assert u_min == want.u.min()
 
 
 def _through_kernels(man, psi, state, dt, update, *args):
     new, upw, u_min = update(man, psi, state, dt, *args)
-    R, f, res = flow._diagnose(man, psi, new, upw)
+    R, f, res = flow._diagnose(man, psi, new.u, new.c, new.p, new.r, upw)
     return new, R, f, res, u_min
 
 
 MESHES = ["circle128", "torus2d", "octahedron"]
 
 
+def test_helpers_reject_misshaped_psi(circle64):
+    man = circle64
+    u = normalize(man, lognormal_field(man, 1), 3.0)
+    state = make_flow_state(man, np.ones(64), u)
+    for psi in (np.ones((64, 1)), np.ones(63), 1.0):
+        for call in (lambda: pseudo_scalar_curvature(man, u, psi, 1.0, 3.0),
+                     lambda: rayleigh_r(man, u, psi, 1.0, 3.0),
+                     lambda: f_diagnostic(man, u, psi, 1.0, 3.0),
+                     lambda: make_flow_state(man, psi, u),
+                     lambda: energy_E(man, u, psi, 1.0, 3.0),
+                     lambda: step_explicit(man, psi, state, 1e-4),
+                     lambda: step_imex(man, psi, state, 1e-4)):
+            with pytest.raises(SizeMismatch, match="psi has shape"):
+                call()
+
+
+def _state_r(man, psi, u, c, p):
+    state = make_flow_state(man, psi, u, p=p, c=c)
+    assert np.array_equal(state.u, u)
+    return state.r
+
+
+@pytest.mark.parametrize("mesh", MESHES)
+def test_public_helpers_match_reference(mesh, request):
+    man = request.getfixturevalue(mesh)
+    x = man.coordinates[:, 0]
+    psi = -1.0 + 0.3 * np.cos(2.0 * x)
+    v = lognormal_field(man, 5)
+    for c, p in ((1.0, 3.0), (1.3, 5.0)):
+        assert _state_r(man, psi, v, c, p) == ref.rayleigh(man, v, psi, c, p)
+        assert rayleigh_r(man, v, psi, c, p) == ref.rayleigh(man, v, psi, c, p)
+        assert np.array_equal(pseudo_scalar_curvature(man, v, psi, c, p),
+                              ref.curvature(man, v, psi, c, p))
+        assert np.array_equal(normalize(man, v, p), ref.normalize(man, v, p))
+        assert f_diagnostic(man, v, psi, c, p) == ref.decay(man, v, psi, c, p)
+        # the energy shares the quadratic form; u may change sign there
+        for u in (v, v - v.mean()):
+            assert energy_E(man, u, psi, c, p) == ref.energy(man, u, psi, c, p)
+
+
 @pytest.mark.parametrize("mesh", MESHES)
 def test_explicit_kernel_matches_public_helpers(mesh, request):
     man = request.getfixturevalue(mesh)
     psi, state = _kernel_case(man)
-    dt = 0.2 * adaptive_dt(man, state, 0.25)
-    R0 = pseudo_scalar_curvature(man, state.u, psi, state.c, state.p)
-    want = _reference_settle(man, psi, state, dt, state.u * (1.0 + dt * (state.r - R0)))
+    dt = 0.2 * ref.stable_dt(man, state.u, 3.0, 1.0, 0.25, None)
+    want = ref.explicit(man, psi, 1.0, 3.0, state.u, state.t, state.step, dt)
+    R0 = flow._curvature(man, state.u, psi, 1.0, 3.0)
     got = _through_kernels(man, psi, state, dt, flow._explicit_update, R0)
     _assert_bitwise(got, want)
     public = step_explicit(man, psi, state, dt)
-    assert np.array_equal(public.u, want[0].u) and public.r == want[0].r
+    assert np.array_equal(public.u, want.u) and public.r == want.r
 
 
 @pytest.mark.parametrize("mesh", MESHES)
@@ -568,19 +592,19 @@ def test_imex_kernel_matches_assembled_newton(mesh, request):
     dt = 1e-2
     A = flow._imex_operator(man, psi, state.c)
     jac = flow._JacobianPattern(A)
-    want = _reference_imex(man, psi, state, dt)
+    want = ref.imex(man, psi, 1.0, 3.0, state.u, state.t, state.step, dt)
     got = _through_kernels(man, psi, state, dt, flow._imex_update, A, jac)
     _assert_bitwise(got, want)
     public = step_imex(man, psi, state, dt)
-    assert np.array_equal(public.u, want[0].u) and public.r == want[0].r
+    assert np.array_equal(public.u, want.u) and public.r == want.r
     # the filled pattern is the assembled matrix, slot for slot
     dudw = np.linspace(0.5, 2.0, man.node_count)
     for pdt in (3e-2, 1e-7):
-        ref = _reference_newton_matrix(A, man.mass, pdt, dudw)
+        assembled = ref.newton_matrix(A, man.mass, pdt, dudw)
         filled = jac.fill(man.mass, pdt, dudw)
-        assert np.array_equal(filled.indptr, ref.indptr)
-        assert np.array_equal(filled.indices, ref.indices)
-        assert np.array_equal(filled.data, ref.data)
+        assert np.array_equal(filled.indptr, assembled.indptr)
+        assert np.array_equal(filled.indices, assembled.indices)
+        assert np.array_equal(filled.data, assembled.data)
 
 
 def test_jacobian_pattern_keeps_missing_diagonal(circle64):
@@ -593,7 +617,7 @@ def test_jacobian_pattern_keeps_missing_diagonal(circle64):
     assert A[3, 3] == 0 and A.nnz == 3 * 64 - 1
     dudw = np.linspace(0.5, 2.0, 64)
     filled = flow._JacobianPattern(A).fill(man.mass, 0.1, dudw).toarray()
-    assert np.array_equal(filled, _reference_newton_matrix(A, man.mass, 0.1, dudw).toarray())
+    assert np.array_equal(filled, ref.newton_matrix(A, man.mass, 0.1, dudw).toarray())
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "imex"])
@@ -603,20 +627,18 @@ def test_run_loop_first_row_matches_public_helpers(scheme, circle128):
     u0 = lognormal_field(man, 2)
     cfg = FlowConfig(scheme=scheme, dt0=1e-3, max_steps=1)
     res = run_flow(man, psi, u0, cfg)
-    state = make_flow_state(man, psi, normalize(man, u0, 3.0))
+    u = ref.normalize(man, u0, 3.0)
     if scheme == "explicit":
-        dt = adaptive_dt(man, state, cfg.safety, dt_max=cfg.dt0)
-        R0 = pseudo_scalar_curvature(man, state.u, psi, state.c, state.p)
-        ref, R, f, r_res = _reference_settle(
-            man, psi, state, dt, state.u * (1.0 + dt * (state.r - R0)))
+        dt = ref.stable_dt(man, u, 3.0, 1.0, cfg.safety, cfg.dt0)
+        want = ref.explicit(man, psi, 1.0, 3.0, u, 0.0, 0, dt)
     else:
         dt = cfg.dt0
-        ref, R, f, r_res = _reference_imex(man, psi, state, dt)
-    want = flow.TraceRecord(step=1, t=ref.t, dt=dt, r=ref.r, norm_err=ref.norm_err,
-                            u_min=ref.u.min(), u_max=ref.u.max(), f=f, R_min=R.min(),
-                            R_max=R.max(), res_linf=r_res)
-    assert res.trace[-1] == want
-    assert np.array_equal(res.final.u, ref.u)
+        want = ref.imex(man, psi, 1.0, 3.0, u, 0.0, 0, dt)
+    row = flow.TraceRecord(step=1, t=want.t, dt=dt, r=want.r, norm_err=want.norm_err,
+                           u_min=want.u.min(), u_max=want.u.max(), f=want.f,
+                           R_min=want.R.min(), R_max=want.R.max(), res_linf=want.res)
+    assert res.trace[-1] == row
+    assert np.array_equal(res.final.u, want.u)
 
 
 def test_settle_checks_fire(circle64):

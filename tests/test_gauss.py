@@ -49,6 +49,16 @@ def test_k_constant_exponent(torus2d):
     np.testing.assert_allclose(out, np.exp(-0.6) * 0.7, rtol=1e-12)
 
 
+def test_k_is_what_the_trace_shows(torus2d):
+    # k_psi and the stepper share one arithmetic, so the extrema of K at the
+    # final state equal the trace's R columns bit for bit
+    psi = 0.3 * np.cos(torus2d.coordinates[:, 0])
+    res = run_gauss_flow(torus2d, psi, np.zeros(torus2d.node_count),
+                         FlowConfig(dt0=2e-3, max_steps=50))
+    K = k_psi(torus2d, res.final.u, psi)
+    assert (K.min(), K.max()) == (res.trace[-1].R_min, res.trace[-1].R_max)
+
+
 def test_k_analytic_cosine(torus2d):
     # u = 0.1 cos x1 has Lap u = -0.1 cos x1 on the flat torus
     x1 = torus2d.coordinates[:, 0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvflow.errors import DimensionMismatch, EvalDomainError, ParseError
-from curvflow.psiexpr import BinOp, Call, Neg, Num, PsiSpec, Var, evaluate, format_expr, parse
+from curvflow.psiexpr import BinOp, Call, Neg, Num, PsiSpec, Var, evaluate, parse
 
 from conftest import circle
 
@@ -158,6 +158,50 @@ _ast = st.recursive(
     ),
     max_leaves=20,
 )
+
+
+# A printer for the round-trip test: the shortest text that parses back to
+# the same AST.  Precedence levels; atoms are effectively infinite.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_ATOM = 9
+
+
+def _fmt(node):
+    if isinstance(node, Num):
+        return repr(node.value), _ATOM
+    if isinstance(node, Var):
+        return f"x{node.index}", _ATOM
+    if isinstance(node, Call):
+        inner, _ = _fmt(node.arg)
+        return f"{node.func}({inner})", _ATOM
+    if isinstance(node, Neg):
+        inner, prec = _fmt(node.arg)
+        # '^' binds tighter than unary minus, so -x^2 means -(x^2): no parens needed
+        if prec < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}", _PREC["neg"]
+    p = _PREC[node.op]
+    ls, lp = _fmt(node.lhs)
+    rs, rp = _fmt(node.rhs)
+    if node.op == "^":
+        # right-associative: left child needs parens unless it is an atom
+        if lp <= p:
+            ls = f"({ls})"
+        if rp < p and rp != _PREC["neg"]:
+            # exponent position re-parses unary minus fine; anything
+            # looser (e.g. a+b) needs parens
+            rs = f"({rs})"
+    else:
+        if lp < p:
+            ls = f"({ls})"
+        if rp <= p:
+            rs = f"({rs})"
+    return f"{ls}{node.op}{rs}", p
+
+
+def format_expr(spec):
+    """Render the AST back to text; parse(format_expr(s)).ast == s.ast."""
+    return _fmt(spec.ast)[0]
 
 
 @settings(max_examples=200, deadline=None)
