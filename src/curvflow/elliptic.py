@@ -25,12 +25,15 @@ from .errors import NewtonNoConvergence, NonPositiveField, PositivityLost, ZeroD
 from .manifold import (
     DiscreteManifold,
     _check_field,
+    _operator,
     dirichlet_energy,
     integrate,
     laplacian_apply,
 )
 
 __all__ = ["NewtonResult", "newton_constrained", "residual_linf"]
+
+_TOL = 1e-12  # Newton's target for max(|field defect|_inf, |constraint|)
 
 
 @dataclass
@@ -47,7 +50,7 @@ def residual_linf(
 ) -> float:
     """Max-norm of the stationary defect -c Lap(u) + psi u - r u^p."""
     u = _check_field(man, u, "u")
-    psi = np.asarray(psi, dtype=float)
+    psi = _check_field(man, psi, "psi")
     defect = -c * laplacian_apply(man, u) + psi * u - r * u**p
     return float(np.max(np.abs(defect)))
 
@@ -62,7 +65,6 @@ def newton_constrained(
     c: float,
     p: float,
     u_init: np.ndarray,
-    tol: float = 1e-12,
     max_iter: int = 50,
 ) -> NewtonResult:
     """Damped Newton for the constrained stationary pair (u, r).
@@ -76,7 +78,7 @@ def newton_constrained(
     u = _check_field(man, u_init, "u_init")
     if not np.all(u > 0):
         raise NonPositiveField("u_init must be strictly positive")
-    psi = np.asarray(psi, dtype=float)
+    psi = _check_field(man, psi, "psi")
     mass = man.mass
 
     denom = integrate(man, u ** (p + 1.0))
@@ -84,7 +86,7 @@ def newton_constrained(
         raise ZeroDenominator(f"constraint integral of u_init is {denom}")
     r = (c * dirichlet_energy(man, u) + integrate(man, psi * u * u)) / denom
 
-    A0 = (c * man.stiffness + sparse.diags(mass * psi)).tocsr()
+    A0 = _operator(man, psi, c)
 
     def residuals(u, r):
         F1 = (A0 @ u) / mass - r * u**p
@@ -96,7 +98,7 @@ def newton_constrained(
     history = [fnorm]
 
     for it in range(max_iter):
-        if fnorm <= tol:
+        if fnorm <= _TOL:
             return NewtonResult(u=u, r=r, iterations=it, residual=fnorm,
                                 fnorm_history=history)
         # symmetric bordered system:
@@ -139,9 +141,9 @@ def newton_constrained(
                 f"damping stalled at iteration {it} with residual {fnorm:.3e}"
             )
 
-    if fnorm <= tol:
+    if fnorm <= _TOL:
         return NewtonResult(u=u, r=r, iterations=max_iter, residual=fnorm,
                             fnorm_history=history)
     raise NewtonNoConvergence(
-        f"residual {fnorm:.3e} after {max_iter} iterations (tol {tol:.1e})"
+        f"residual {fnorm:.3e} after {max_iter} iterations (tol {_TOL:.1e})"
     )

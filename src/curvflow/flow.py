@@ -27,8 +27,10 @@ given denominator (_quotient), the checked constraint integral
 (_integral), the two-pass projection (_project), and f with the residual
 (_diagnose).  The public helpers validate and call them, and the run
 loop's _settle is built from them, so a run composes the arithmetic the
-helpers expose.  The imex Newton matrix is written into a sparsity
-pattern built once per run.
+helpers expose.  The discrete operators themselves (the Laplacian, the
+edge-form energy and the imex weak form) come from the manifold module.
+The imex Newton matrix is written into a sparsity pattern built once per
+run.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import (
     StepRejectedPositivity,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, _check_field
+from .manifold import DiscreteManifold, _check_field, _edge_energy, _laplacian, _operator
 
 __all__ = [
     "FlowState",
@@ -138,6 +140,8 @@ class FlowConfig:
         for name in ("dt0", "safety", "tol_f", "tol_res", "t_max"):
             if not (getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be positive")
+        if not math.isfinite(self.t_max):
+            raise ConfigError("t_max must be finite")
         if self.max_steps < 0 or self.max_halvings < 0:
             raise ConfigError("max_steps and max_halvings must be nonnegative")
         if self.trace_every < 1:
@@ -188,8 +192,7 @@ def _curvature(
     man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float
 ) -> np.ndarray:
     """R = u^{-p} (-c Lap(u) + psi u)."""
-    lap = -(man.stiffness @ u) / man.mass
-    return u ** (-p) * (-c * lap + psi * u)
+    return u ** (-p) * (-c * _laplacian(man, u) + psi * u)
 
 
 def _integral(mass: np.ndarray, u: np.ndarray, p: float) -> tuple[float, np.ndarray]:
@@ -207,9 +210,7 @@ def _quotient(
     """(c u^T S u + \\int psi u^2) / denom, with u^T S u summed over edges as
     w_e (u_i - u_j)^2, so it stays accurate (and nonnegative for psi >= 0)
     even when u is within roundoff of a constant."""
-    ei, ej, w = man._edges
-    d = u[ei] - u[ej]
-    return (c * float(np.dot(w, d * d)) + float(np.dot(man.mass, psi * u * u))) / denom
+    return (c * _edge_energy(man, u) + float(np.dot(man.mass, psi * u * u))) / denom
 
 
 def _project(
@@ -272,13 +273,11 @@ def make_flow_state(
     step: int = 0,
     p: float = 3.0,
     c: float = 1.0,
-    norm_err: float = 0.0,
 ) -> FlowState:
     """Bundle a field into a FlowState with its Rayleigh quotient cached."""
     u = _positive_field(man, u)
     r = rayleigh_r(man, u, psi, c, p)
-    return FlowState(u=u, t=float(t), step=int(step), p=float(p), c=float(c), r=r,
-                     norm_err=float(norm_err))
+    return FlowState(u=u, t=float(t), step=int(step), p=float(p), c=float(c), r=r)
 
 
 def f_diagnostic(
@@ -337,11 +336,6 @@ def step_explicit(
     psi = _check_field(man, psi, "psi")
     R = _curvature(man, _positive_field(man, state.u), psi, state.c, state.p)
     return _explicit_update(man, psi, state, dt, R)[0]
-
-
-def _imex_operator(man: DiscreteManifold, psi: np.ndarray, c: float) -> sparse.csr_matrix:
-    # A u = -(c Lap u - psi u) * mass  (weak form of the stiff part)
-    return (c * man.stiffness + sparse.diags(man.mass * psi)).tocsr()
 
 
 class _JacobianPattern:
@@ -425,7 +419,7 @@ def step_imex(
     """
     psi = _check_field(man, psi, "psi")
     _positive_field(man, state.u)
-    A = _imex_operator(man, psi, state.c)
+    A = _operator(man, psi, state.c)
     return _imex_update(man, psi, state, dt, A, _JacobianPattern(A))[0]
 
 
@@ -496,7 +490,7 @@ class _Stepper:
         self._graze_level = logging.WARNING
         p, c = state.p, state.c
         if cfg.scheme == "imex":
-            A = _imex_operator(man, psi, c)
+            A = _operator(man, psi, c)
             jac = _JacobianPattern(A)
             self._update = lambda st, dt, R: _imex_update(man, psi, st, dt, A, jac)
             self._dt = lambda u_min: cfg.dt0

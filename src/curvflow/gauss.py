@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CurvFlowError, DimensionMismatch
 from .flow import FlowConfig, FlowResult, TraceRecord, _drive
-from .manifold import DiscreteManifold, _check_field, integrate, laplacian_apply
+from .manifold import DiscreteManifold, _check_field, _laplacian, integrate, laplacian_apply
 
 __all__ = ["GaussState", "k_psi", "gauss_r", "run_gauss_flow"]
 
@@ -74,14 +74,14 @@ class _GaussStepper:
         self._diagnose()
         self.area0 = self.area
         self._dt0, self._smax = cfg.dt0, man._max_stiffness_diagonal
-        self._safe_mass = cfg.safety * float(man.mass.min())
+        self._safe_mass = cfg.safety * man._min_mass
 
     def _diagnose(self) -> None:
         man, u = self.man, self.u
         w = np.exp(2.0 * u)
         self.area = integrate(man, w)
         self.r = r = self.psi_total / self.area
-        lap = laplacian_apply(man, u)
+        lap = _laplacian(man, u)
         self.K = K = _curvature(lap, self.psi, w)
         dev = K - r
         self.f = float(np.dot(man.mass, dev * dev * w))

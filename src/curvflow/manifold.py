@@ -8,6 +8,11 @@ that
     dirichlet_energy(u) ~ u^T S u                   ~ \\int |grad u|^2 dv
     laplacian_apply(u)  = -M^{-1} S u               ~ Laplace-Beltrami of u
 
+This module alone writes the discretization's operators: the stiffness
+assembly, the lumped Laplacian, the edge-form energy and the weak form
+c S + diag(M psi) of -c Lap + psi that the flow, lambda1 and the Newton
+oracle share.  A change to the discretization touches this file only.
+
 Two constructions are provided: uniform periodic grids (flat tori of any
 dimension, second-order finite differences) and closed triangulated
 surfaces loaded from OFF files (piecewise-linear FEM: cotangent stiffness
@@ -17,7 +22,7 @@ with barycentric lumped mass).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -58,7 +63,6 @@ class DiscreteManifold:
     mass: np.ndarray
     stiffness: sparse.csr_matrix
     dim: int
-    label: str = ""
 
     @property
     def node_count(self) -> int:
@@ -102,6 +106,23 @@ def _check_field(man: DiscreteManifold, f: np.ndarray, name: str = "field") -> n
     return f
 
 
+def _laplacian(man: DiscreteManifold, u: np.ndarray) -> np.ndarray:
+    """-M^{-1} S u for a field that is already checked."""
+    return -(man.stiffness @ u) / man.mass
+
+
+def _edge_energy(man: DiscreteManifold, u: np.ndarray) -> float:
+    """sum_e w_e (u_i - u_j)^2 for a field that is already checked."""
+    ei, ej, w = man._edges
+    d = u[ei] - u[ej]
+    return float(np.dot(w, d * d))
+
+
+def _operator(man: DiscreteManifold, psi: np.ndarray, c: float) -> sparse.csr_matrix:
+    """Weak form c S + diag(M psi) of -c Lap + psi: A u = (-c Lap u + psi u) * mass."""
+    return (c * man.stiffness + sparse.diags(man.mass * psi)).tocsr()
+
+
 def integrate(man: DiscreteManifold, f: np.ndarray) -> float:
     """Mass-weighted sum, the discrete integral of f over the manifold."""
     f = _check_field(man, f)
@@ -115,19 +136,31 @@ def dirichlet_energy(man: DiscreteManifold, u: np.ndarray) -> float:
     form u.(S u) suffers for nearly constant u, so tiny energies (late in
     a flow) come out with full relative accuracy.
     """
-    u = _check_field(man, u)
-    ei, ej, w = man._edges
-    d = u[ei] - u[ej]
-    return float(np.dot(w, d * d))
+    return _edge_energy(man, _check_field(man, u))
 
 
 def laplacian_apply(man: DiscreteManifold, u: np.ndarray) -> np.ndarray:
     """Discrete Laplace-Beltrami operator, -M^{-1} S u."""
-    u = _check_field(man, u)
-    return -(man.stiffness @ u) / man.mass
+    return _laplacian(man, _check_field(man, u))
 
 
-def _validate(man: DiscreteManifold, probes: int = 20) -> DiscreteManifold:
+def _stiffness(n: int, edge_blocks: Sequence[tuple]) -> sparse.csr_matrix:
+    """S = sum_e w_e (e_i - e_j)(e_i - e_j)^T over blocks (i, j, w) of index
+    and weight arrays, as an n x n CSR matrix with duplicates summed."""
+    rows, cols, vals = [], [], []
+    for i, j, w in edge_blocks:
+        rows.extend([i, j, i, j])
+        cols.extend([j, i, i, j])
+        vals.extend([-w, -w, w, w])
+    S = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    S.sum_duplicates()
+    return S
+
+
+def _validate(man: DiscreteManifold) -> DiscreteManifold:
     """Construction-time invariant checks shared by both constructors."""
     if np.any(man.mass <= 0):
         raise CurvFlowError("mass vector must be strictly positive")
@@ -139,7 +172,7 @@ def _validate(man: DiscreteManifold, probes: int = 20) -> DiscreteManifold:
     if rowsums.max() > 1e-12 * max(rowscale.max(), 1.0):
         raise CurvFlowError("stiffness row sums are not zero")
     rng = np.random.default_rng(0)
-    for _ in range(probes):
+    for _ in range(20):  # random PSD probes
         x = rng.standard_normal(man.node_count)
         # edge form: exact up to relative roundoff, no cancellation
         if dirichlet_energy(man, x) < -1e-12 * float(np.dot(x, x)):
@@ -180,28 +213,12 @@ def build_torus_grid(counts: Sequence[int], lengths: Sequence[float]) -> Discret
         coords[:, k] = grids[k].ravel() * h[k]
 
     idx = np.arange(total).reshape(counts)
-    rows, cols, vals = [], [], []
-    for k in range(n):
-        a = idx.ravel()
-        b = np.roll(idx, -1, axis=k).ravel()
-        w = cellvol / (h[k] * h[k])
-        wv = np.full(total, w)
-        rows.extend([a, b, a, b])
-        cols.extend([b, a, a, b])
-        vals.extend([-wv, -wv, wv, wv])
-    S = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(total, total),
-    ).tocsr()
-    S.sum_duplicates()
+    S = _stiffness(total, [
+        (idx.ravel(), np.roll(idx, -1, axis=k).ravel(), np.full(total, cellvol / (h[k] * h[k])))
+        for k in range(n)
+    ])
 
-    man = DiscreteManifold(
-        coordinates=coords,
-        mass=np.full(total, cellvol),
-        stiffness=S,
-        dim=n,
-        label=f"torus{counts}x{lengths}",
-    )
+    man = DiscreteManifold(coordinates=coords, mass=np.full(total, cellvol), stiffness=S, dim=n)
     return _validate(man)
 
 
@@ -291,37 +308,24 @@ def load_off_mesh(path: str) -> DiscreteManifold:
     if np.any(counts != 2):
         raise MeshFormatError("mesh is not a closed surface (boundary or nonmanifold edge)")
 
-    rows, cols, vals = [], [], []
     corners = (
         (faces[:, 0], faces[:, 1], faces[:, 2]),
         (faces[:, 1], faces[:, 2], faces[:, 0]),
         (faces[:, 2], faces[:, 0], faces[:, 1]),
     )
+    blocks = []
     for apex, i, j in corners:
         e1 = verts[i] - verts[apex]
         e2 = verts[j] - verts[apex]
         # cot(angle at apex) = <e1,e2> / |e1 x e2| ; half of it weights edge (i,j)
         cot = np.einsum("ij,ij->i", e1, e2) / (2.0 * areas)
-        w = 0.5 * cot
-        rows.extend([i, j, i, j])
-        cols.extend([j, i, i, j])
-        vals.extend([-w, -w, w, w])
-    S = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv),
-    ).tocsr()
-    S.sum_duplicates()
+        blocks.append((i, j, 0.5 * cot))
+    S = _stiffness(nv, blocks)
 
     mass = np.zeros(nv)
     np.add.at(mass, faces[:, 0], areas / 3.0)
     np.add.at(mass, faces[:, 1], areas / 3.0)
     np.add.at(mass, faces[:, 2], areas / 3.0)
 
-    man = DiscreteManifold(
-        coordinates=verts,
-        mass=mass,
-        stiffness=S,
-        dim=2,
-        label=f"off:{path}",
-    )
+    man = DiscreteManifold(coordinates=verts, mass=mass, stiffness=S, dim=2)
     return _validate(man)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from . import flow as flowmod
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     InvalidDimension,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, _check_field, integrate
+from .manifold import DiscreteManifold, _check_field, _operator, integrate
 
 __all__ = [
     "EigenResult",
@@ -59,13 +59,15 @@ class EigenResult:
     residual: float
 
 
-def _pcg(
-    A: sparse.csr_matrix,
-    b: np.ndarray,
-    x0: np.ndarray,
-    rtol: float = 1e-13,
-    max_iter: int = 20000,
-) -> np.ndarray:
+# inner CG: relative residual target and iteration cap
+_PCG_RTOL = 1e-13
+_PCG_MAX_ITER = 20000
+# inverse iteration: strong-form residual target and iteration cap
+_EIG_TOL = 1e-10
+_EIG_MAX_ITER = 500
+
+
+def _pcg(A: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Conjugate gradients with a Jacobi (diagonal) preconditioner."""
     diag = A.diagonal()
     if np.any(diag <= 0):
@@ -78,8 +80,8 @@ def _pcg(
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= rtol * bnorm:
+    for _ in range(_PCG_MAX_ITER):
+        if np.linalg.norm(r) <= _PCG_RTOL * bnorm:
             return x
         Ap = A @ p
         alpha = rz / float(np.dot(p, Ap))
@@ -89,35 +91,29 @@ def _pcg(
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if np.linalg.norm(r) <= 10 * rtol * bnorm:
+    if np.linalg.norm(r) <= 10 * _PCG_RTOL * bnorm:
         return x
     raise InnerSolverFailure(
         f"PCG stalled at relative residual {np.linalg.norm(r)/bnorm:.3e}"
     )
 
 
-def lambda1(
-    man: DiscreteManifold,
-    psi: np.ndarray,
-    c: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> EigenResult:
+def lambda1(man: DiscreteManifold, psi: np.ndarray, c: float = 1.0) -> EigenResult:
     """Smallest eigenvalue and positive normalized eigenfunction.
 
-    Residual reported (and tested against tol) is the strong form
+    Residual reported (and tested against _EIG_TOL) is the strong form
     |(-c Lap + psi) u1 - lambda u1|_inf / max(1, |lambda|) with u1
     normalized to \\int u1^2 dv = 1.
     """
     psi = _check_field(man, psi, "psi")
     mass = man.mass
-    A = (c * man.stiffness + sparse.diags(mass * psi)).tocsr()
+    A = _operator(man, psi, c)
     shift = float(psi.min()) - 1.0
     B = (A - shift * sparse.diags(mass)).tocsr()  # PD: c S + M (psi - shift), psi - shift >= 1
 
     v = np.full(man.node_count, 1.0 / math.sqrt(man.volume))
     lam = float(np.dot(v, A @ v))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EIG_MAX_ITER + 1):
         x = _pcg(B, mass * v, x0=v / max(lam - shift, 1e-3))
         nrm = math.sqrt(float(np.dot(x, mass * x)))
         if nrm == 0.0 or not math.isfinite(nrm):
@@ -126,14 +122,14 @@ def lambda1(
         lam = float(np.dot(v, A @ v))  # Rayleigh quotient, M-normalized v
         strong = (A @ v) / mass - lam * v
         res = float(np.max(np.abs(strong))) / max(1.0, abs(lam))
-        if res <= tol:
+        if res <= _EIG_TOL:
             if integrate(man, v) < 0:
                 v = -v
             if v.min() <= 0:
                 raise EigenNoConvergence("ground eigenfunction is not positive")
             return EigenResult(lambda1=lam, eigenfunction=v, iterations=it, residual=res)
     raise EigenNoConvergence(
-        f"residual {res:.3e} after {max_iter} inverse iterations (tol {tol:.1e})"
+        f"residual {res:.3e} after {_EIG_MAX_ITER} inverse iterations (tol {_EIG_TOL:.1e})"
     )
 
 
@@ -167,10 +163,11 @@ def lognormal_field(man: DiscreteManifold, seed) -> np.ndarray:
         raise ConfigError(f"bad seed {seed!r}: {exc}") from exc
     white = rng.standard_normal(man.node_count)
     ell = _CORR_FRACTION * man.bbox_diameter
-    helm = (sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc()
+    # one factorization serves both passes
+    helm = splu((sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc())
     g = white
     for _ in range(2):
-        g = spsolve(helm, man.mass * g)
+        g = helm.solve(man.mass * g)
     vol = man.volume
     g = g - integrate(man, g) / vol
     std = math.sqrt(max(integrate(man, g * g) / vol, 1e-300))

@@ -230,6 +230,7 @@ BAD_INPUTS = {
     "p-below-1": lambda tmp: ("run", "--preset", "thm2", "--p", "0.5"),
     "trace-every-0": lambda tmp: ("run", "--preset", "thm2", "--trace-every", "0"),
     "max-steps-negative": lambda tmp: ("run", "--preset", "thm2", "--max-steps", "-1"),
+    "tmax-inf": lambda tmp: ("run", "--torus", f"32:{TWO_PI_STR}", "--psi", "-1", "--tmax", "inf"),
     "psi-overflow": lambda tmp: ("run", "--torus", f"16:{TWO_PI_STR}", "--psi", "exp(1000*x1)"),
     "sweep-no-starts": lambda tmp: ("sweep", "--preset", "thm2", "--starts", "0"),
     "seed-negative": lambda tmp: ("run", "--preset", "thm2", "--seed", "-1"),

@@ -93,6 +93,17 @@ def test_degenerate_inputs(circle64):
         residual_linf(circle64, np.ones(65), -np.ones(64), 1.0, 3.0, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(64, 1), (65,)])
+def test_misshaped_psi_rejected(circle64, shape):
+    # an (N, 1) psi would broadcast against (N,) fields into a wrong number
+    u = 1.0 + 0.1 * np.cos(circle64.coordinates[:, 0])
+    psi = np.ones(shape)
+    with pytest.raises(SizeMismatch):
+        residual_linf(circle64, u, psi, 1.0, 3.0, 0.5)
+    with pytest.raises(SizeMismatch):
+        newton_constrained(circle64, psi, 1.0, 3.0, u)
+
+
 def test_residual_exact_constant(circle64):
     V = circle64.volume
     u = np.full(64, V**-0.25)

@@ -39,7 +39,7 @@ from curvflow.flow import (
     trace_column,
     write_trace_csv,
 )
-from curvflow.manifold import integrate
+from curvflow.manifold import _operator, integrate
 from curvflow.spectral import energy_E, lambda1, lognormal_field
 
 import reference_flow as ref
@@ -440,6 +440,8 @@ def test_config_validation():
         FlowConfig(trace_every=0).validate()
     with pytest.raises(ConfigError):
         FlowConfig(max_steps=-1).validate()
+    with pytest.raises(ConfigError):  # inf <= 1e-14 * inf would stop it at step 0
+        FlowConfig(t_max=math.inf).validate()
     FlowConfig().validate()
 
 
@@ -590,7 +592,7 @@ def test_imex_kernel_matches_assembled_newton(mesh, request):
     man = request.getfixturevalue(mesh)
     psi, state = _kernel_case(man)
     dt = 1e-2
-    A = flow._imex_operator(man, psi, state.c)
+    A = _operator(man, psi, state.c)
     jac = flow._JacobianPattern(A)
     want = ref.imex(man, psi, 1.0, 3.0, state.u, state.t, state.step, dt)
     got = _through_kernels(man, psi, state, dt, flow._imex_update, A, jac)
@@ -613,7 +615,7 @@ def test_jacobian_pattern_keeps_missing_diagonal(circle64):
     man = circle64
     psi = np.zeros(64)
     psi[3] = -man.stiffness[3, 3] / man.mass[3]
-    A = flow._imex_operator(man, psi, 1.0)
+    A = _operator(man, psi, 1.0)
     assert A[3, 3] == 0 and A.nnz == 3 * 64 - 1
     dudw = np.linspace(0.5, 2.0, 64)
     filled = flow._JacobianPattern(A).fill(man.mass, 0.1, dudw).toarray()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from curvflow import flow as flowmod
 from curvflow.errors import (
@@ -14,6 +15,8 @@ from curvflow.errors import (
 from curvflow.flow import STOP_POSITIVITY, FlowConfig
 from curvflow.manifold import integrate
 from curvflow.spectral import (
+    _AMPLITUDE,
+    _CORR_FRACTION,
     energy_E,
     estimate_Y,
     lambda1,
@@ -46,6 +49,20 @@ def test_lambda1_against_dense_solver():
     res = lambda1(man, psi, 1.0)
     assert res.lambda1 == pytest.approx(dense, abs=1e-8)
     assert res.residual <= 1e-10
+
+
+@pytest.mark.parametrize("mesh", ["octahedron", "torus2d"])
+def test_lambda1_against_dense_solver_in_2d(mesh, request):
+    man = request.getfixturevalue(mesh)
+    x, y = man.coordinates[:, 0], man.coordinates[:, 1]
+    psi = np.cos(x) + 0.5 * np.sin(2.0 * y)
+    c = 1.7
+    A = (c * man.stiffness + sparse.diags(man.mass * psi)).toarray()
+    dense = sla.eigh(A, np.diag(man.mass), eigvals_only=True, subset_by_index=[0, 0])[0]
+    res = lambda1(man, psi, c)
+    assert res.lambda1 == pytest.approx(dense, abs=1e-8)
+    assert res.residual <= 1e-10
+    assert res.eigenfunction.min() > 0
 
 
 def test_lambda1_eigenfunction_contract(circle256):
@@ -179,6 +196,22 @@ def test_lognormal_field_contract(circle128):
     t1 = lognormal_field(circle128, (3, 0))
     t2 = lognormal_field(circle128, (3, 1))
     assert not np.array_equal(t1, t2)
+
+
+def test_lognormal_field_on_a_mesh(icosphere3):
+    man = icosphere3
+    u = lognormal_field(man, 4)
+    assert u.min() > 0
+    np.testing.assert_array_equal(u, lognormal_field(man, 4))
+    # the same field from two spsolve calls, each factoring the smoother anew
+    g = np.random.default_rng(4).standard_normal(man.node_count)
+    ell = _CORR_FRACTION * man.bbox_diameter
+    helm = (sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc()
+    for _ in range(2):
+        g = spsolve(helm, man.mass * g)
+    g = g - integrate(man, g) / man.volume
+    want = np.exp(_AMPLITUDE * (g / np.sqrt(integrate(man, g * g) / man.volume)))
+    assert np.array_equal(u, want)
 
 
 def test_lognormal_field_smooth(circle256):
