@@ -165,8 +165,8 @@ def resolve_c(raw, man: DiscreteManifold, default: float = 1.0) -> float:
         value = float(raw)
     except ValueError as exc:
         raise CliUsageError(f"bad --c value {raw!r}") from exc
-    if value <= 0:
-        raise CliUsageError("--c must be positive")
+    if not (value > 0 and math.isfinite(value)):
+        raise CliUsageError("--c must be positive and finite")
     return value
 
 

@@ -28,9 +28,10 @@ given denominator (_quotient), the checked constraint integral
 (_diagnose).  The public helpers validate and call them, and the run
 loop's _settle is built from them, so a run composes the arithmetic the
 helpers expose.  The discrete operators themselves (the Laplacian, the
-edge-form energy and the imex weak form) come from the manifold module.
-The imex Newton matrix is written into a sparsity pattern built once per
-run.
+edge-form energy and the imex weak form) come from the manifold module,
+and so does the SPD solve of each imex Newton step: the Newton system is
+solved in its symmetric form, and a step whose matrix is not SPD is
+rejected like one that loses positivity, so the run loop halves its dt.
 """
 
 from __future__ import annotations
@@ -42,18 +43,18 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .errors import (
     ConfigError,
     CurvFlowError,
     IllConditionedInitialData,
+    InnerSolverFailure,
     NewtonNoConvergence,
     NonPositiveField,
     StepRejectedPositivity,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, _check_field, _edge_energy, _laplacian, _operator
+from .manifold import DiscreteManifold, _check_field, _edge_energy, _laplacian, _operator, _solve
 
 __all__ = [
     "FlowState",
@@ -86,6 +87,8 @@ STOP_POSITIVITY = "PositivityFailure"
 # the imex inner Newton: tolerance on max |F| relative to max(1, |target|)
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
+# dt halvings of one step before a run stops with PositivityFailure
+_MAX_HALVINGS = 40
 
 
 def default_c(n: int) -> float:
@@ -129,7 +132,6 @@ class FlowConfig:
     tol_res: float = 1e-8
     t_max: float = 100.0
     max_steps: int = 1_000_000
-    max_halvings: int = 40
     trace_every: int = 1
     p: float = 3.0
     c: float = 1.0
@@ -140,10 +142,11 @@ class FlowConfig:
         for name in ("dt0", "safety", "tol_f", "tol_res", "t_max"):
             if not (getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be positive")
-        if not math.isfinite(self.t_max):
-            raise ConfigError("t_max must be finite")
-        if self.max_steps < 0 or self.max_halvings < 0:
-            raise ConfigError("max_steps and max_halvings must be nonnegative")
+        for name in ("tol_f", "tol_res", "t_max", "p", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if self.max_steps < 0:
+            raise ConfigError("max_steps must be nonnegative")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be >= 1")
         if not (self.p > 1):
@@ -338,46 +341,12 @@ def step_explicit(
     return _explicit_update(man, psi, state, dt, R)[0]
 
 
-class _JacobianPattern:
-    """The imex Newton matrix diag(M) + pdt A diag(du/dw), assembled once.
-
-    Its CSC slots are A's entries plus every diagonal entry, so one
-    pattern serves every dt and every Newton iterate of a run; fill only
-    rewrites the values, in place, so each fill overwrites the matrix the
-    previous one returned.  The result equals the sparse-algebra sum slot
-    for slot unless an entry rounds to exactly 0, which that sum would
-    have dropped from its pattern.
-    """
-
-    def __init__(self, A: sparse.csr_matrix):
-        n = A.shape[0]
-        idx = np.arange(n)
-        coo = A.tocoo()
-        self.matrix = sparse.csc_matrix(
-            (np.concatenate([coo.data, np.zeros(n)]),
-             (np.concatenate([coo.row, idx]), np.concatenate([coo.col, idx]))),
-            shape=A.shape,
-        )
-        self._a = self.matrix.data.copy()  # A's values, 0 where A has no entry
-        self._col = np.repeat(idx, np.diff(self.matrix.indptr))
-        self._diag = np.flatnonzero(self.matrix.indices == self._col)  # ordered by column
-
-    def fill(self, mass: np.ndarray, pdt: float, dudw: np.ndarray) -> sparse.csc_matrix:
-        # same rounding as diags(mass) + pdt * (A @ diags(dudw)), entry by entry
-        vals = self.matrix.data
-        np.multiply(self._a, dudw[self._col], out=vals)
-        vals *= pdt
-        vals[self._diag] += mass
-        return self.matrix
-
-
 def _imex_update(
     man: DiscreteManifold,
     psi: np.ndarray,
     state: FlowState,
     dt: float,
     A: sparse.csr_matrix,
-    jac: _JacobianPattern,
 ) -> tuple[FlowState, np.ndarray, float]:
     p = state.p
     mass = man.mass
@@ -388,15 +357,24 @@ def _imex_update(
     pdt = p * dt
     target = w_old * (1.0 + pdt * state.r)
     scale = max(1.0, float(np.abs(target).max()))
+    cK = pdt * state.c
+    zero = np.zeros_like(w_old)
     w = w_old.copy()
     for _ in range(_NEWTON_MAX_ITER):
         u = w ** (1.0 / p)
         F = w + pdt * (A @ u) / mass - target
         if float(np.abs(F).max()) <= _NEWTON_TOL * scale:
             break
-        dudw = (1.0 / p) * w ** (1.0 / p - 1.0)
-        delta = spsolve(jac.fill(mass, pdt, dudw), -mass * F)
-        w = w + delta
+        # J = diag(M) + pdt A diag(du/dw); with y = (du/dw) delta, J delta = -M F
+        # is the symmetric (pdt A + diag(M / (du/dw))) y = -M F, and
+        # 1 / (du/dw) = p u^{p-1}
+        dwdu = p * u ** (p - 1.0)
+        try:
+            y = _solve(man, cK, mass * (pdt * psi + dwdu), -mass * F, zero)
+        except InnerSolverFailure as exc:
+            # not SPD at this dt; as dt -> 0 the matrix tends to diag(M / (du/dw))
+            raise StepRejectedPositivity(f"imex Newton matrix at dt={dt:.3e}: {exc}") from exc
+        w = w + y * dwdu
         if w.min() <= 0.0:
             raise StepRejectedPositivity(f"imex Newton iterate lost positivity at dt={dt:.3e}")
     else:
@@ -420,7 +398,7 @@ def step_imex(
     psi = _check_field(man, psi, "psi")
     _positive_field(man, state.u)
     A = _operator(man, psi, state.c)
-    return _imex_update(man, psi, state, dt, A, _JacobianPattern(A))[0]
+    return _imex_update(man, psi, state, dt, A)[0]
 
 
 def _stable_dt(
@@ -491,8 +469,7 @@ class _Stepper:
         p, c = state.p, state.c
         if cfg.scheme == "imex":
             A = _operator(man, psi, c)
-            jac = _JacobianPattern(A)
-            self._update = lambda st, dt, R: _imex_update(man, psi, st, dt, A, jac)
+            self._update = lambda st, dt, R: _imex_update(man, psi, st, dt, A)
             self._dt = lambda u_min: cfg.dt0
         else:
             self._update = lambda st, dt, R: _explicit_update(man, psi, st, dt, R)
@@ -559,7 +536,7 @@ def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
             stop = STOP_TMAX
             break
         dt = min(stepper.dt(), remaining)
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             try:
                 stepper.advance(dt)
                 break
@@ -586,9 +563,10 @@ def run_flow(
     """Drive the flow from u0 until stationarity, a time/step budget, or failure.
 
     Convergence means f <= tol_f and res_linf <= tol_res simultaneously.
-    Steps that lose positivity are retried with halved dt up to
-    cfg.max_halvings times; exhausting the halvings ends the run with
-    stop = "PositivityFailure" (the partial trace is still returned).
+    Steps that lose positivity (or whose imex Newton matrix is not SPD) are
+    retried with halved dt up to _MAX_HALVINGS times; exhausting the
+    halvings ends the run with stop = "PositivityFailure" (the partial
+    trace is still returned).
     """
     cfg.validate()
     psi = _check_field(man, psi, "psi")

@@ -9,9 +9,11 @@ that
     laplacian_apply(u)  = -M^{-1} S u               ~ Laplace-Beltrami of u
 
 This module alone writes the discretization's operators: the stiffness
-assembly, the lumped Laplacian, the edge-form energy and the weak form
+assembly, the lumped Laplacian, the edge-form energy, the weak form
 c S + diag(M psi) of -c Lap + psi that the flow, lambda1 and the Newton
-oracle share.  A change to the discretization touches this file only.
+oracle share, and the one SPD solve for c S + diag(d) that the imex
+Newton step and lambda1 share.  A change to the discretization touches
+this file only.
 
 Two constructions are provided: uniform periodic grids (flat tori of any
 dimension, second-order finite differences) and closed triangulated
@@ -32,6 +34,7 @@ from scipy import sparse
 from .errors import (
     CurvFlowError,
     DegenerateTriangle,
+    InnerSolverFailure,
     InvalidGridSpec,
     MeshFormatError,
     NonTriangleFace,
@@ -84,8 +87,12 @@ class DiscreteManifold:
         return upper.row, upper.col, -upper.data
 
     @cached_property
+    def _stiffness_diagonal(self) -> np.ndarray:
+        return self.stiffness.diagonal()
+
+    @cached_property
     def _max_stiffness_diagonal(self) -> float:
-        return float(self.stiffness.diagonal().max())
+        return float(self._stiffness_diagonal.max())
 
     @cached_property
     def _min_mass(self) -> float:
@@ -121,6 +128,49 @@ def _edge_energy(man: DiscreteManifold, u: np.ndarray) -> float:
 def _operator(man: DiscreteManifold, psi: np.ndarray, c: float) -> sparse.csr_matrix:
     """Weak form c S + diag(M psi) of -c Lap + psi: A u = (-c Lap u + psi u) * mass."""
     return (c * man.stiffness + sparse.diags(man.mass * psi)).tocsr()
+
+
+# Jacobi-PCG: relative residual target and iteration cap
+_PCG_RTOL = 1e-13
+_PCG_MAX_ITER = 20000
+
+
+def _solve(
+    man: DiscreteManifold, c: float, d: np.ndarray, b: np.ndarray, x0: np.ndarray
+) -> np.ndarray:
+    """Solve (c S + diag(d)) x = b by Jacobi-preconditioned CG from x0, with
+    the matvec c (S x) + d x, so the sum is never assembled.  Raises
+    InnerSolverFailure for a diagonal that is not positive (NaN included), a
+    direction p with p^T K p <= 0 (the matrix is not SPD) or a stall."""
+    S = man.stiffness
+    diag = c * man._stiffness_diagonal + d
+    if not np.all(diag > 0):
+        raise InnerSolverFailure("operator diagonal is not positive")
+    tol = _PCG_RTOL * float(np.linalg.norm(b))
+    if tol == 0.0:
+        return np.zeros_like(b)
+    x = x0.copy()
+    r = b - (c * (S @ x) + d * x)
+    z = r / diag
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    for _ in range(_PCG_MAX_ITER):
+        if np.linalg.norm(r) <= tol:
+            return x
+        Kp = c * (S @ p) + d * p
+        pKp = float(np.dot(p, Kp))
+        if not pKp > 0:
+            raise InnerSolverFailure("operator is not positive definite")
+        alpha = rz / pKp
+        x += alpha * p
+        r -= alpha * Kp
+        z = r / diag
+        rz_new = float(np.dot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    if np.linalg.norm(r) <= 10 * tol:
+        return x
+    raise InnerSolverFailure(f"PCG stalled at residual {np.linalg.norm(r):.3e} (target {tol:.3e})")
 
 
 def integrate(man: DiscreteManifold, f: np.ndarray) -> float:

@@ -6,9 +6,10 @@ lambda1 solves the generalized symmetric problem
     (c S + M diag(psi)) v = lambda M v
 
 for its smallest eigenvalue by inverse iteration with the fixed shift
-min(psi) - 1 (which makes the shifted operator positive definite).  Inner
-solves use conjugate gradients with a Jacobi preconditioner and warm
-starts.  The energy
+min(psi) - 1 (which makes the shifted operator c S + diag(M (psi - shift))
+positive definite).  Inner solves go through the manifold's Jacobi-PCG
+solve, warm-started from the current iterate, and never assemble the
+shifted operator.  The energy
 
     E(u) = (c \\int |grad u|^2 + \\int psi u^2) / (\\int |u|^{p+1})^{2/(p+1)}
 
@@ -34,11 +35,10 @@ from .errors import (
     ConfigError,
     CurvFlowError,
     EigenNoConvergence,
-    InnerSolverFailure,
     InvalidDimension,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, _check_field, _operator, integrate
+from .manifold import DiscreteManifold, _check_field, _operator, _solve, integrate
 
 __all__ = [
     "EigenResult",
@@ -59,43 +59,9 @@ class EigenResult:
     residual: float
 
 
-# inner CG: relative residual target and iteration cap
-_PCG_RTOL = 1e-13
-_PCG_MAX_ITER = 20000
 # inverse iteration: strong-form residual target and iteration cap
 _EIG_TOL = 1e-10
 _EIG_MAX_ITER = 500
-
-
-def _pcg(A: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Conjugate gradients with a Jacobi (diagonal) preconditioner."""
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise InnerSolverFailure("operator diagonal is not positive")
-    x = x0.copy()
-    r = b - A @ x
-    z = r / diag
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    for _ in range(_PCG_MAX_ITER):
-        if np.linalg.norm(r) <= _PCG_RTOL * bnorm:
-            return x
-        Ap = A @ p
-        alpha = rz / float(np.dot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        z = r / diag
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if np.linalg.norm(r) <= 10 * _PCG_RTOL * bnorm:
-        return x
-    raise InnerSolverFailure(
-        f"PCG stalled at relative residual {np.linalg.norm(r)/bnorm:.3e}"
-    )
 
 
 def lambda1(man: DiscreteManifold, psi: np.ndarray, c: float = 1.0) -> EigenResult:
@@ -109,12 +75,12 @@ def lambda1(man: DiscreteManifold, psi: np.ndarray, c: float = 1.0) -> EigenResu
     mass = man.mass
     A = _operator(man, psi, c)
     shift = float(psi.min()) - 1.0
-    B = (A - shift * sparse.diags(mass)).tocsr()  # PD: c S + M (psi - shift), psi - shift >= 1
+    d = mass * (psi - shift)  # c S + diag(d) is SPD: psi - shift >= 1
 
     v = np.full(man.node_count, 1.0 / math.sqrt(man.volume))
     lam = float(np.dot(v, A @ v))
     for it in range(1, _EIG_MAX_ITER + 1):
-        x = _pcg(B, mass * v, x0=v / max(lam - shift, 1e-3))
+        x = _solve(man, c, d, mass * v, x0=v / max(lam - shift, 1e-3))
         nrm = math.sqrt(float(np.dot(x, mass * x)))
         if nrm == 0.0 or not math.isfinite(nrm):
             raise EigenNoConvergence("inverse iteration collapsed to zero")

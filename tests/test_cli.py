@@ -231,6 +231,11 @@ BAD_INPUTS = {
     "trace-every-0": lambda tmp: ("run", "--preset", "thm2", "--trace-every", "0"),
     "max-steps-negative": lambda tmp: ("run", "--preset", "thm2", "--max-steps", "-1"),
     "tmax-inf": lambda tmp: ("run", "--torus", f"32:{TWO_PI_STR}", "--psi", "-1", "--tmax", "inf"),
+    "tol-inf": lambda tmp: ("run", "--torus", f"32:{TWO_PI_STR}", "--psi", "-1",
+                            "--tol-f", "inf", "--tol-res", "inf"),
+    "c-inf": lambda tmp: ("run", "--torus", f"32:{TWO_PI_STR}", "--psi", "-1", "--c", "inf"),
+    "eigen-c-nan": lambda tmp: ("eigen", "--torus", f"32:{TWO_PI_STR}", "--psi", "-1",
+                                "--c", "nan"),
     "psi-overflow": lambda tmp: ("run", "--torus", f"16:{TWO_PI_STR}", "--psi", "exp(1000*x1)"),
     "sweep-no-starts": lambda tmp: ("sweep", "--preset", "thm2", "--starts", "0"),
     "seed-negative": lambda tmp: ("run", "--preset", "thm2", "--seed", "-1"),
@@ -242,6 +247,10 @@ BAD_INPUTS = {
 }
 
 
+# what the error line must name, where a later failure could mask the cause
+BAD_INPUT_NAMES = {"tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c"}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_gives_one_error_line(case, tmp_path):
     res = run_cli(*BAD_INPUTS[case](tmp_path))
@@ -249,4 +258,5 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
     lines = res.stderr.splitlines()
     assert len(lines) == 1, res.stderr
     assert lines[0].startswith("error:")
+    assert BAD_INPUT_NAMES.get(case, "") in lines[0]
     assert "Traceback" not in res.stderr

@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from curvflow.errors import (
     DegenerateTriangle,
+    InnerSolverFailure,
     InvalidGridSpec,
     MeshFormatError,
     NonTriangleFace,
     SizeMismatch,
 )
 from curvflow.manifold import (
+    _PCG_RTOL,
+    _operator,
+    _solve,
     build_torus_grid,
     dirichlet_energy,
     integrate,
@@ -268,3 +272,65 @@ def test_off_unreadable_file_is_format_error(tmp_path):
     binary.write_bytes(b"OFF\n\xff\xfe\x00\x01")
     with pytest.raises(MeshFormatError):
         load_off_mesh(str(binary))
+
+
+# --- the SPD solve for c S + diag(d) ----------------------------------------
+
+
+def _solve_cases(man, psi):
+    """(c, d) of the two systems that go through manifold._solve: the imex
+    Newton matrix in its symmetric form c' S + diag(M (p dt psi + p u^{p-1}))
+    with c' = p dt c, and lambda1's shifted operator c S + diag(M (psi - shift))."""
+    p, dt, c = 3.0, 1e-2, 1.3
+    u = 1.0 + 0.4 * np.cos(man.coordinates[:, 0])
+    shift = float(psi.min()) - 1.0
+    return [(p * dt * c, man.mass * (p * dt * psi + p * u ** (p - 1.0))),
+            (c, man.mass * (psi - shift))]
+
+
+def _missing_diagonal_psi(man):
+    # c S_ii + M_i psi_i cancels to 0 at a node, so the weak operator stores
+    # no diagonal there, while the imex matrix keeps its mass entry
+    psi = np.zeros(man.node_count)
+    psi[3] = -man.stiffness[3, 3] / man.mass[3]
+    assert _operator(man, psi, 1.0)[3, 3] == 0
+    return psi
+
+
+@pytest.mark.parametrize("mesh,kind", [("circle128", "cos"), ("torus2d", "cos"),
+                                       ("octahedron", "cos"), ("circle64", "missing-diagonal")])
+def test_solve_matches_dense_solver(mesh, kind, request):
+    man = request.getfixturevalue(mesh)
+    n = man.node_count
+    if kind == "cos":
+        psi = -1.0 + 0.3 * np.cos(2.0 * man.coordinates[:, 0])
+    else:
+        psi = _missing_diagonal_psi(man)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(n)
+    for c, d in _solve_cases(man, psi):
+        K = c * man.stiffness.toarray() + np.diag(d)
+        want = np.linalg.solve(K, b)
+        for x0 in (np.zeros(n), rng.standard_normal(n)):
+            got = _solve(man, c, d, b, x0)
+            # the solver's own stop, rechecked on the assembled matrix ...
+            assert np.linalg.norm(K @ got - b) <= 2 * _PCG_RTOL * np.linalg.norm(b)
+            # ... and the forward error it allows
+            bound = np.linalg.cond(K) * 2 * _PCG_RTOL
+            assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+    assert np.array_equal(_solve(man, c, d, np.zeros(n), b), np.zeros(n))
+
+
+def test_solve_rejects_what_is_not_spd(circle64):
+    man = circle64
+    b = np.ones(64)
+    s = man.stiffness.diagonal()
+    with pytest.raises(InnerSolverFailure, match="diagonal"):
+        _solve(man, 1.0, -s, b, np.zeros(64))  # zero diagonal
+    nan = np.zeros(64)
+    nan[7] = np.nan
+    with pytest.raises(InnerSolverFailure, match="diagonal"):
+        _solve(man, 1.0, nan, b, np.zeros(64))
+    # a positive diagonal, but constants have a negative quadratic form
+    with pytest.raises(InnerSolverFailure, match="positive definite"):
+        _solve(man, 1.0, -0.5 * s, b, np.zeros(64))
