@@ -8,8 +8,9 @@ by a damped Newton iteration on the pair.  Multiplying the field equations
 by the mass vector makes the (N+1)-dimensional bordered Jacobian symmetric:
 the border column -M u^p is (up to the factor p+1) the transpose of the
 constraint row, so one sparse symmetric indefinite solve per iteration
-suffices.  This path shares no time-stepping code with the flow module and
-serves as its independent oracle.
+suffices.  Its block c S + diag(M (psi - p r u^{p-1})) is the package's one
+assembled form of -c Lap + psi.  This path shares no time-stepping code or
+solver with the flow module and serves as its independent oracle.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .errors import NewtonNoConvergence, NonPositiveField, PositivityLost, ZeroDenominator
-from .manifold import (
-    DiscreteManifold,
-    _check_field,
-    _operator,
-    dirichlet_energy,
-    integrate,
-    laplacian_apply,
-)
+from .manifold import DiscreteManifold, _apply, _check_field, _quotient, integrate
 
 __all__ = ["NewtonResult", "newton_constrained", "residual_linf"]
 
@@ -51,7 +45,7 @@ def residual_linf(
     """Max-norm of the stationary defect -c Lap(u) + psi u - r u^p."""
     u = _check_field(man, u, "u")
     psi = _check_field(man, psi, "psi")
-    defect = -c * laplacian_apply(man, u) + psi * u - r * u**p
+    defect = _apply(man, u, psi, c) - r * u**p
     return float(np.max(np.abs(defect)))
 
 
@@ -84,12 +78,11 @@ def newton_constrained(
     denom = integrate(man, u ** (p + 1.0))
     if denom == 0 or not math.isfinite(denom):
         raise ZeroDenominator(f"constraint integral of u_init is {denom}")
-    r = (c * dirichlet_energy(man, u) + integrate(man, psi * u * u)) / denom
-
-    A0 = _operator(man, psi, c)
+    r = _quotient(man, u, psi, c, denom)
+    cS = c * man.stiffness
 
     def residuals(u, r):
-        F1 = (A0 @ u) / mass - r * u**p
+        F1 = _apply(man, u, psi, c) - r * u**p
         F2 = integrate(man, u ** (p + 1.0)) - 1.0
         return F1, F2
 
@@ -101,11 +94,11 @@ def newton_constrained(
         if fnorm <= _TOL:
             return NewtonResult(u=u, r=r, iterations=it, residual=fnorm,
                                 fnorm_history=history)
-        # symmetric bordered system:
-        #   [ A0 - p r M diag(u^{p-1})   -M u^p ] [du]   [ -M F1      ]
-        #   [ (-M u^p)^T                   0    ] [dr] = [ F2 / (p+1) ]
+        # symmetric bordered system, with A = c S + diag(M psi):
+        #   [ A - p r M diag(u^{p-1})   -M u^p ] [du]   [ -M F1      ]
+        #   [ (-M u^p)^T                  0    ] [dr] = [ F2 / (p+1) ]
         g = mass * u**p
-        Ahat = A0 - sparse.diags(p * r * mass * u ** (p - 1.0))
+        Ahat = cS + sparse.diags(mass * (psi - p * r * u ** (p - 1.0)))
         K = sparse.bmat(
             [[Ahat, -g.reshape(-1, 1)], [-g.reshape(1, -1), None]], format="csc"
         )

@@ -22,16 +22,16 @@ _drive is the package's one run loop: run_flow and gauss.run_gauss_flow
 hand it a stepper, and it owns stopping, budgets, dt halving and thinning.
 
 Each formula of the flow is written once, as a private kernel on arrays
-that are already validated: R (_curvature), the quadratic form over a
-given denominator (_quotient), the checked constraint integral
-(_integral), the two-pass projection (_project), and f with the residual
-(_diagnose).  The public helpers validate and call them, and the run
-loop's _settle is built from them, so a run composes the arithmetic the
-helpers expose.  The discrete operators themselves (the Laplacian, the
-edge-form energy and the imex weak form) come from the manifold module,
-and so does the SPD solve of each imex Newton step: the Newton system is
-solved in its symmetric form, and a step whose matrix is not SPD is
-rejected like one that loses positivity, so the run loop halves its dt.
+that are already validated: R (_curvature), the checked constraint
+integral (_integral), the two-pass projection (_project), and f with the
+residual (_diagnose).  The public helpers validate and call them, and the
+run loop's _settle is built from them, so a run composes the arithmetic
+the helpers expose.  The operator -c Lap + psi comes from the manifold
+module, as its strong form (_apply) and as its quadratic form over a given
+denominator (_quotient), and so does the SPD solve of each imex Newton
+step: the Newton system is solved in its symmetric form, and a step whose
+matrix is not SPD is rejected like one that loses positivity, so the run
+loop halves its dt.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ConfigError,
@@ -54,7 +53,7 @@ from .errors import (
     StepRejectedPositivity,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, _check_field, _edge_energy, _laplacian, _operator, _solve
+from .manifold import DiscreteManifold, _apply, _check_field, _quotient, _solve
 
 __all__ = [
     "FlowState",
@@ -195,7 +194,7 @@ def _curvature(
     man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, p: float
 ) -> np.ndarray:
     """R = u^{-p} (-c Lap(u) + psi u)."""
-    return u ** (-p) * (-c * _laplacian(man, u) + psi * u)
+    return u ** (-p) * _apply(man, u, psi, c)
 
 
 def _integral(mass: np.ndarray, u: np.ndarray, p: float) -> tuple[float, np.ndarray]:
@@ -205,15 +204,6 @@ def _integral(mass: np.ndarray, u: np.ndarray, p: float) -> tuple[float, np.ndar
     if s == 0 or not math.isfinite(s):
         raise ZeroDenominator(f"constraint integral is {s}")
     return s, upw
-
-
-def _quotient(
-    man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, denom: float
-) -> float:
-    """(c u^T S u + \\int psi u^2) / denom, with u^T S u summed over edges as
-    w_e (u_i - u_j)^2, so it stays accurate (and nonnegative for psi >= 0)
-    even when u is within roundoff of a constant."""
-    return (c * _edge_energy(man, u) + float(np.dot(man.mass, psi * u * u))) / denom
 
 
 def _project(
@@ -346,9 +336,8 @@ def _imex_update(
     psi: np.ndarray,
     state: FlowState,
     dt: float,
-    A: sparse.csr_matrix,
 ) -> tuple[FlowState, np.ndarray, float]:
-    p = state.p
+    p, c = state.p, state.c
     mass = man.mass
     w_old = state.u**p
     # (w+ - w)/dt = p (c Lap u+ - psi u+ + r w)  with u+ = (w+)^{1/p}, r
@@ -357,20 +346,19 @@ def _imex_update(
     pdt = p * dt
     target = w_old * (1.0 + pdt * state.r)
     scale = max(1.0, float(np.abs(target).max()))
-    cK = pdt * state.c
     zero = np.zeros_like(w_old)
     w = w_old.copy()
     for _ in range(_NEWTON_MAX_ITER):
         u = w ** (1.0 / p)
-        F = w + pdt * (A @ u) / mass - target
+        F = w + pdt * _apply(man, u, psi, c) - target
         if float(np.abs(F).max()) <= _NEWTON_TOL * scale:
             break
-        # J = diag(M) + pdt A diag(du/dw); with y = (du/dw) delta, J delta = -M F
-        # is the symmetric (pdt A + diag(M / (du/dw))) y = -M F, and
-        # 1 / (du/dw) = p u^{p-1}
+        # J = diag(M) + pdt A diag(du/dw) with A = c S + diag(M psi); in
+        # y = (du/dw) delta, J delta = -M F is the symmetric
+        # (pdt A + diag(M / (du/dw))) y = -M F, with 1 / (du/dw) = p u^{p-1}
         dwdu = p * u ** (p - 1.0)
         try:
-            y = _solve(man, cK, mass * (pdt * psi + dwdu), -mass * F, zero)
+            y = _solve(man, pdt * c, mass * (pdt * psi + dwdu), -mass * F, zero)
         except InnerSolverFailure as exc:
             # not SPD at this dt; as dt -> 0 the matrix tends to diag(M / (du/dw))
             raise StepRejectedPositivity(f"imex Newton matrix at dt={dt:.3e}: {exc}") from exc
@@ -397,8 +385,7 @@ def step_imex(
     """
     psi = _check_field(man, psi, "psi")
     _positive_field(man, state.u)
-    A = _operator(man, psi, state.c)
-    return _imex_update(man, psi, state, dt, A)[0]
+    return _imex_update(man, psi, state, dt)[0]
 
 
 def _stable_dt(
@@ -468,8 +455,7 @@ class _Stepper:
         self._graze_level = logging.WARNING
         p, c = state.p, state.c
         if cfg.scheme == "imex":
-            A = _operator(man, psi, c)
-            self._update = lambda st, dt, R: _imex_update(man, psi, st, dt, A)
+            self._update = lambda st, dt, R: _imex_update(man, psi, st, dt)
             self._dt = lambda u_min: cfg.dt0
         else:
             self._update = lambda st, dt, R: _explicit_update(man, psi, st, dt, R)
@@ -479,6 +465,8 @@ class _Stepper:
         self.state, self.t, self.step, self.u_min = state, state.t, state.step, u_min
         self.R, self.f, self.res = _diagnose(self.man, self.psi, state.u, state.c, state.p,
                                              state.r, upw)
+        if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
+            raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")
         self.R_min = float(self.R.min())
 
     def dt(self) -> float:
@@ -571,15 +559,18 @@ def run_flow(
     cfg.validate()
     psi = _check_field(man, psi, "psi")
     u0 = _positive_field(man, u0)
-    # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
-    u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), cfg.p)
-    if u_min < 1e-10:
-        raise IllConditionedInitialData(
-            f"normalized initial field has min {u_min:.3e} < 1e-10")
-    state = FlowState(u=u, t=0.0, step=0, p=float(cfg.p), c=float(cfg.c),
-                      r=_quotient(man, u, psi, cfg.c, s))
-    stepper = _Stepper(man, psi, state, upw, u_min, cfg)
-    trace, stop = _drive(cfg, stepper)
+    # overflow surfaces as a non-finite integral, f or residual, each of
+    # which raises; one context for the run, not one per kernel call
+    with np.errstate(over="ignore", invalid="ignore"):
+        # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
+        u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), cfg.p)
+        if u_min < 1e-10:
+            raise IllConditionedInitialData(
+                f"normalized initial field has min {u_min:.3e} < 1e-10")
+        state = FlowState(u=u, t=0.0, step=0, p=float(cfg.p), c=float(cfg.c),
+                          r=_quotient(man, u, psi, cfg.c, s))
+        stepper = _Stepper(man, psi, state, upw, u_min, cfg)
+        trace, stop = _drive(cfg, stepper)
     return FlowResult(
         final=stepper.state,
         trace=trace,

@@ -8,12 +8,13 @@ that
     dirichlet_energy(u) ~ u^T S u                   ~ \\int |grad u|^2 dv
     laplacian_apply(u)  = -M^{-1} S u               ~ Laplace-Beltrami of u
 
-This module alone writes the discretization's operators: the stiffness
-assembly, the lumped Laplacian, the edge-form energy, the weak form
-c S + diag(M psi) of -c Lap + psi that the flow, lambda1 and the Newton
-oracle share, and the one SPD solve for c S + diag(d) that the imex
-Newton step and lambda1 share.  A change to the discretization touches
-this file only.
+This module alone writes the discretization's operators.  -c Lap + psi
+comes in three forms: the strong form _apply (the flow's R and imex
+residual, lambda1's and the oracle's residuals), the edge-form quotient
+_quotient (the flow's r, energy_E, lambda1's eigenvalue, the oracle's
+first r) and _solve, the SPD solve for c S + diag(d) (imex Newton, lambda1).
+Only the oracle assembles the operator, into its bordered Jacobian.  A
+change to the discretization touches this file only.
 
 Two constructions are provided: uniform periodic grids (flat tori of any
 dimension, second-order finite differences) and closed triangulated
@@ -125,9 +126,18 @@ def _edge_energy(man: DiscreteManifold, u: np.ndarray) -> float:
     return float(np.dot(w, d * d))
 
 
-def _operator(man: DiscreteManifold, psi: np.ndarray, c: float) -> sparse.csr_matrix:
-    """Weak form c S + diag(M psi) of -c Lap + psi: A u = (-c Lap u + psi u) * mass."""
-    return (c * man.stiffness + sparse.diags(man.mass * psi)).tocsr()
+def _apply(man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float) -> np.ndarray:
+    """-c Lap(u) + psi u = c M^{-1} S u + psi u for fields that are already checked."""
+    return c * ((man.stiffness @ u) / man.mass) + psi * u
+
+
+def _quotient(
+    man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float, denom: float
+) -> float:
+    """(c u^T S u + \\int psi u^2) / denom, with u^T S u summed over edges as
+    w_e (u_i - u_j)^2, so it stays accurate (and nonnegative for psi >= 0)
+    even when u is within roundoff of a constant."""
+    return (c * _edge_energy(man, u) + float(np.dot(man.mass, psi * u * u))) / denom
 
 
 # Jacobi-PCG: relative residual target and iteration cap
@@ -287,9 +297,10 @@ def load_off_mesh(path: str) -> DiscreteManifold:
 
     Builds the cotangent stiffness matrix and barycentric lumped mass
     (one third of the incident triangle area per vertex).  Rejects
-    non-triangle faces, (near-)degenerate triangles, and meshes that are
-    not closed (every edge must bound exactly two triangles).  A file that
-    cannot be read as UTF-8 text raises MeshFormatError as well.
+    non-finite vertices and areas, non-triangle faces, (near-)degenerate
+    triangles, and meshes that are not closed (every edge must bound
+    exactly two triangles).  A file that cannot be read as UTF-8 text
+    raises MeshFormatError as well.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -321,6 +332,9 @@ def load_off_mesh(path: str) -> DiscreteManifold:
             verts[i] = [float(p) for p in parts]
         except ValueError as exc:
             raise MeshFormatError(f"line {lines[2 + i][1]}: bad vertex literal") from exc
+    finite = np.isfinite(verts).all(axis=1)
+    if not finite.all():  # float() takes "nan" and "inf"
+        raise MeshFormatError(f"line {lines[2 + int(np.argmin(finite))][1]}: non-finite vertex")
 
     faces = np.empty((nf, 3), dtype=int)
     for i in range(nf):
@@ -343,8 +357,10 @@ def load_off_mesh(path: str) -> DiscreteManifold:
         faces[i] = ijk
 
     p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    cross = np.cross(p1 - p0, p2 - p0)
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+    if not np.all(np.isfinite(areas)):  # finite coordinates can still overflow
+        raise MeshFormatError(f"face {int(np.argmin(np.isfinite(areas)))}: area is not finite")
     mean_area = areas.mean()
     # <= so an exactly flat face is caught even when it drags the mean to zero
     if np.any(areas <= 1e-14 * mean_area):

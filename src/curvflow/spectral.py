@@ -7,9 +7,9 @@ lambda1 solves the generalized symmetric problem
 
 for its smallest eigenvalue by inverse iteration with the fixed shift
 min(psi) - 1 (which makes the shifted operator c S + diag(M (psi - shift))
-positive definite).  Inner solves go through the manifold's Jacobi-PCG
-solve, warm-started from the current iterate, and never assemble the
-shifted operator.  The energy
+positive definite).  Nothing here assembles the operator: inner solves go
+through the manifold's Jacobi-PCG solve from the current iterate, and lambda
+and the residual are its edge-form quotient and strong form.  The energy
 
     E(u) = (c \\int |grad u|^2 + \\int psi u^2) / (\\int |u|^{p+1})^{2/(p+1)}
 
@@ -38,7 +38,7 @@ from .errors import (
     InvalidDimension,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, _check_field, _operator, _solve, integrate
+from .manifold import DiscreteManifold, _apply, _check_field, _quotient, _solve, integrate
 
 __all__ = [
     "EigenResult",
@@ -73,20 +73,19 @@ def lambda1(man: DiscreteManifold, psi: np.ndarray, c: float = 1.0) -> EigenResu
     """
     psi = _check_field(man, psi, "psi")
     mass = man.mass
-    A = _operator(man, psi, c)
     shift = float(psi.min()) - 1.0
     d = mass * (psi - shift)  # c S + diag(d) is SPD: psi - shift >= 1
 
     v = np.full(man.node_count, 1.0 / math.sqrt(man.volume))
-    lam = float(np.dot(v, A @ v))
+    lam = _quotient(man, v, psi, c, float(np.dot(mass, v * v)))
     for it in range(1, _EIG_MAX_ITER + 1):
         x = _solve(man, c, d, mass * v, x0=v / max(lam - shift, 1e-3))
         nrm = math.sqrt(float(np.dot(x, mass * x)))
         if nrm == 0.0 or not math.isfinite(nrm):
             raise EigenNoConvergence("inverse iteration collapsed to zero")
         v = x / nrm
-        lam = float(np.dot(v, A @ v))  # Rayleigh quotient, M-normalized v
-        strong = (A @ v) / mass - lam * v
+        lam = _quotient(man, v, psi, c, float(np.dot(mass, v * v)))  # Rayleigh quotient
+        strong = _apply(man, v, psi, c) - lam * v
         res = float(np.max(np.abs(strong))) / max(1.0, abs(lam))
         if res <= _EIG_TOL:
             if integrate(man, v) < 0:
@@ -108,7 +107,7 @@ def energy_E(
     denom = integrate(man, np.abs(u) ** (p + 1.0)) ** (2.0 / (p + 1.0))
     if denom == 0:
         raise ZeroDenominator("energy of the zero field")
-    return flowmod._quotient(man, u, psi, c, denom)
+    return _quotient(man, u, psi, c, denom)
 
 
 _AMPLITUDE = 0.4

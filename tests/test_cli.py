@@ -9,6 +9,8 @@ import pytest
 from curvflow import cli, flow, gauss
 from curvflow.flow import TRACE_HEADER
 
+from conftest import OCTAHEDRON_OFF
+
 TWO_PI_STR = "6.283185307179586"
 
 
@@ -226,6 +228,12 @@ def _binary_off(tmp_path):
     return str(path)
 
 
+def _nan_vertex_off(tmp_path):
+    path = tmp_path / "nan.off"
+    path.write_text(OCTAHEDRON_OFF.replace("0 0 -1\n", "0 0 nan\n"))
+    return str(path)
+
+
 BAD_INPUTS = {
     "p-below-1": lambda tmp: ("run", "--preset", "thm2", "--p", "0.5"),
     "trace-every-0": lambda tmp: ("run", "--preset", "thm2", "--trace-every", "0"),
@@ -242,13 +250,20 @@ BAD_INPUTS = {
     "gauss-seed": lambda tmp: ("gauss", "--torus", "8:1,8:1", "--psi", "1", "--seed", "1"),
     "off-directory": lambda tmp: ("eigen", "--off", str(tmp), "--psi", "1"),
     "off-binary": lambda tmp: ("eigen", "--off", _binary_off(tmp), "--psi", "1"),
+    "off-nan-vertex": lambda tmp: ("eigen", "--off", _nan_vertex_off(tmp), "--psi", "1"),
+    "p-overflow": lambda tmp: ("run", "--torus", f"64:{TWO_PI_STR}", "--psi", "-1", "--p", "300",
+                               "--max-steps", "5"),
+    "psi-overflow-f": lambda tmp: ("run", "--torus", f"64:{TWO_PI_STR}", "--psi", "1e300",
+                                   "--max-steps", "5"),
     "out-directory": lambda tmp: ("run", "--torus", "16:1", "--psi", "-1", "--max-steps", "1",
                                   "--out", str(tmp)),
 }
 
 
 # what the error line must name, where a later failure could mask the cause
-BAD_INPUT_NAMES = {"tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c"}
+BAD_INPUT_NAMES = {"tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
+                   "off-nan-vertex": "line 8", "p-overflow": "f = inf",
+                   "psi-overflow-f": "f = inf"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

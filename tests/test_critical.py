@@ -48,4 +48,4 @@ def test_imex_reaches_the_constant_limit(a, torus3):
 @pytest.mark.parametrize("a", [-1.0, 0.3])
 def test_lambda1_of_a_constant_potential(a, torus3):
     e = lambda1(torus3, np.full(torus3.node_count, a), default_c(3))
-    assert abs(e.lambda1 - a) <= 1e-10
+    assert abs(e.lambda1 - a) <= 2 * np.spacing(abs(a))

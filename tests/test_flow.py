@@ -39,7 +39,7 @@ from curvflow.flow import (
     trace_column,
     write_trace_csv,
 )
-from curvflow.manifold import _operator, integrate
+from curvflow.manifold import integrate
 from curvflow.spectral import energy_E, lambda1, lognormal_field
 
 import reference_flow as ref
@@ -615,7 +615,7 @@ def test_imex_kernel_matches_assembled_newton(mesh, request):
     man = request.getfixturevalue(mesh)
     psi, state = _kernel_case(man)
     dt = 1e-2
-    got = _through_kernels(man, psi, state, dt, flow._imex_update, _operator(man, psi, state.c))
+    got = _through_kernels(man, psi, state, dt, flow._imex_update)
     public = step_imex(man, psi, state, dt)
     assert np.array_equal(public.u, got[0].u) and public.r == got[0].r
     assert public.norm_err == got[0].norm_err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from curvflow.errors import (
 )
 from curvflow.manifold import (
     _PCG_RTOL,
-    _operator,
     _solve,
     build_torus_grid,
     dirichlet_energy,
@@ -23,7 +23,7 @@ from curvflow.manifold import (
     load_off_mesh,
 )
 
-from conftest import TWO_PI, circle
+from conftest import OCTAHEDRON_OFF, TWO_PI, circle
 
 
 def test_circle_volume_exact():
@@ -258,6 +258,19 @@ def test_off_bad_vertex_literal(tmp_path):
         _load_text(tmp_path, "OFF\n3 1 3\n0 0 zz\n1 0 0\n0 1 0\n3 0 1 2\n")
 
 
+@pytest.mark.parametrize("last_vertex,where", [
+    ("0 0 nan", "line 8"),
+    ("0 0 inf", "line 8"),
+    ("0 0 -1e200", "face 4"),  # finite, but the area overflows
+])
+def test_off_non_finite_vertex_or_area(tmp_path, last_vertex, where):
+    text = OCTAHEDRON_OFF.replace("0 0 -1\n", last_vertex + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error must come without a RuntimeWarning
+        with pytest.raises(MeshFormatError, match=where):
+            _load_text(tmp_path, text)
+
+
 def test_off_index_out_of_range(tmp_path):
     with pytest.raises(MeshFormatError):
         _load_text(tmp_path, "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
@@ -289,11 +302,11 @@ def _solve_cases(man, psi):
 
 
 def _missing_diagonal_psi(man):
-    # c S_ii + M_i psi_i cancels to 0 at a node, so the weak operator stores
-    # no diagonal there, while the imex matrix keeps its mass entry
+    # c S_ii + M_i psi_i cancels to 0 at a node (c = 1), so the weak operator
+    # has a zero diagonal there, while the imex matrix keeps its mass entry
     psi = np.zeros(man.node_count)
     psi[3] = -man.stiffness[3, 3] / man.mass[3]
-    assert _operator(man, psi, 1.0)[3, 3] == 0
+    assert man.stiffness[3, 3] + man.mass[3] * psi[3] == 0
     return psi
 
 

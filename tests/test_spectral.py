@@ -40,6 +40,17 @@ def test_lambda1_constant_potential(circle128):
         np.testing.assert_allclose(res.eigenfunction, TWO_PI**-0.5, atol=1e-8)
 
 
+@pytest.mark.parametrize("mesh", ["circle128", "torus2d"])
+@pytest.mark.parametrize("c", [1.0, 8.0])
+@pytest.mark.parametrize("a", [-1.0, 0.3, 1.0])
+def test_lambda1_of_a_constant_potential_to_the_ulp(mesh, c, a, request):
+    # the eigenfunction is constant and c S kills it, so lambda1 = a exactly;
+    # the edge-form Rayleigh quotient keeps c S out of the rounding
+    man = request.getfixturevalue(mesh)
+    res = lambda1(man, np.full(man.node_count, a), c)
+    assert abs(res.lambda1 - a) <= 2 * np.spacing(abs(a))
+
+
 def test_lambda1_against_dense_solver():
     man = circle(512)
     psi = np.cos(man.coordinates[:, 0])
