@@ -152,7 +152,7 @@ def build_manifold(args) -> DiscreteManifold:
     return build_torus_grid([n for n, _ in pairs], [L for _, L in pairs])
 
 
-def resolve_c(raw, man: DiscreteManifold, default: float = 1.0) -> float:
+def resolve_c(raw, man: DiscreteManifold, default: float) -> float:
     if raw is None:
         return default
     if isinstance(raw, str) and raw.strip().lower() == "auto":

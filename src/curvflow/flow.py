@@ -31,7 +31,11 @@ module, as its strong form (_apply) and as its quadratic form over a given
 denominator (_quotient), and so does the SPD solve of each imex Newton
 step: the Newton system is solved in its symmetric form, and a step whose
 matrix is not SPD is rejected like one that loses positivity, so the run
-loop halves its dt.
+loop halves its dt.  Newton is inexact: each correction is solved only to
+the forcing tolerance _FORCING times what the exit test max |F| <=
+_NEWTON_TOL max(1, |target|) could need of it, never tighter than the
+solver's 1e-13 and never looser than 1e-2; the exit test itself checks
+the true F.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import (
     StepRejectedPositivity,
     ZeroDenominator,
 )
-from .manifold import DiscreteManifold, _apply, _check_field, _quotient, _solve
+from .manifold import _PCG_RTOL, DiscreteManifold, _apply, _check_field, _quotient, _solve
 
 __all__ = [
     "FlowState",
@@ -86,8 +90,13 @@ STOP_POSITIVITY = "PositivityFailure"
 # the imex inner Newton: tolerance on max |F| relative to max(1, |target|)
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
+# margin of each correction's solve below the exit test (the forcing term)
+_FORCING = 1e-3
 # dt halvings of one step before a run stops with PositivityFailure
 _MAX_HALVINGS = 40
+# a time left within this fraction of dt past one step (the rounding of the
+# clock) joins that step instead of becoming a step of its own
+_SLIVER = 1e-6
 
 
 def default_c(n: int) -> float:
@@ -351,14 +360,16 @@ def _imex_update(
     for _ in range(_NEWTON_MAX_ITER):
         u = w ** (1.0 / p)
         F = w + pdt * _apply(man, u, psi, c) - target
-        if float(np.abs(F).max()) <= _NEWTON_TOL * scale:
+        F_max = float(np.abs(F).max())
+        if F_max <= _NEWTON_TOL * scale:
             break
+        rtol = max(_PCG_RTOL, min(1e-2, _FORCING * _NEWTON_TOL * scale / F_max))
         # J = diag(M) + pdt A diag(du/dw) with A = c S + diag(M psi); in
         # y = (du/dw) delta, J delta = -M F is the symmetric
         # (pdt A + diag(M / (du/dw))) y = -M F, with 1 / (du/dw) = p u^{p-1}
         dwdu = p * u ** (p - 1.0)
         try:
-            y = _solve(man, pdt * c, mass * (pdt * psi + dwdu), -mass * F, zero)
+            y = _solve(man, pdt * c, mass * (pdt * psi + dwdu), -mass * F, zero, rtol)
         except InnerSolverFailure as exc:
             # not SPD at this dt; as dt -> 0 the matrix tends to diag(M / (du/dw))
             raise StepRejectedPositivity(f"imex Newton matrix at dt={dt:.3e}: {exc}") from exc
@@ -523,7 +534,9 @@ def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
         if remaining <= 1e-14 * cfg.t_max:
             stop = STOP_TMAX
             break
-        dt = min(stepper.dt(), remaining)
+        dt = stepper.dt()
+        if remaining <= dt * (1.0 + _SLIVER):
+            dt = remaining
         for _ in range(_MAX_HALVINGS + 1):
             try:
                 stepper.advance(dt)

@@ -13,6 +13,8 @@ comes in three forms: the strong form _apply (the flow's R and imex
 residual, lambda1's and the oracle's residuals), the edge-form quotient
 _quotient (the flow's r, energy_E, lambda1's eigenvalue, the oracle's
 first r) and _solve, the SPD solve for c S + diag(d) (imex Newton, lambda1).
+_solve stops at a relative residual its caller may loosen: the imex Newton
+corrections pass a forcing tolerance, lambda1 keeps the default 1e-13.
 Only the oracle assembles the operator, into its bordered Jacobian.  A
 change to the discretization touches this file only.
 
@@ -146,17 +148,20 @@ _PCG_MAX_ITER = 20000
 
 
 def _solve(
-    man: DiscreteManifold, c: float, d: np.ndarray, b: np.ndarray, x0: np.ndarray
+    man: DiscreteManifold, c: float, d: np.ndarray, b: np.ndarray, x0: np.ndarray,
+    rtol: float = _PCG_RTOL,
 ) -> np.ndarray:
-    """Solve (c S + diag(d)) x = b by Jacobi-preconditioned CG from x0, with
-    the matvec c (S x) + d x, so the sum is never assembled.  Raises
-    InnerSolverFailure for a diagonal that is not positive (NaN included), a
-    direction p with p^T K p <= 0 (the matrix is not SPD) or a stall."""
+    """Solve (c S + diag(d)) x = b by Jacobi-preconditioned CG from x0 to
+    residual rtol |b|, with the matvec c (S x) + d x, so the sum is never
+    assembled.  Raises InnerSolverFailure for a diagonal that is not positive
+    (NaN included), a direction p with p^T K p <= 0 (the matrix is not SPD)
+    or a stall."""
     S = man.stiffness
     diag = c * man._stiffness_diagonal + d
     if not np.all(diag > 0):
         raise InnerSolverFailure("operator diagonal is not positive")
-    tol = _PCG_RTOL * float(np.linalg.norm(b))
+    # sqrt(b.b) is what np.linalg.norm computes for a 1-D real array
+    tol = rtol * math.sqrt(float(np.dot(b, b)))
     if tol == 0.0:
         return np.zeros_like(b)
     x = x0.copy()
@@ -165,7 +170,8 @@ def _solve(
     p = z.copy()
     rz = float(np.dot(r, z))
     for _ in range(_PCG_MAX_ITER):
-        if np.linalg.norm(r) <= tol:
+        rnorm = math.sqrt(float(np.dot(r, r)))
+        if rnorm <= tol:
             return x
         Kp = c * (S @ p) + d * p
         pKp = float(np.dot(p, Kp))
@@ -178,9 +184,10 @@ def _solve(
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if np.linalg.norm(r) <= 10 * tol:
+    rnorm = math.sqrt(float(np.dot(r, r)))
+    if rnorm <= 10 * tol:
         return x
-    raise InnerSolverFailure(f"PCG stalled at residual {np.linalg.norm(r):.3e} (target {tol:.3e})")
+    raise InnerSolverFailure(f"PCG stalled at residual {rnorm:.3e} (target {tol:.3e})")
 
 
 def integrate(man: DiscreteManifold, f: np.ndarray) -> float:

@@ -6,10 +6,11 @@ lambda1 solves the generalized symmetric problem
     (c S + M diag(psi)) v = lambda M v
 
 for its smallest eigenvalue by inverse iteration with the fixed shift
-min(psi) - 1 (which makes the shifted operator c S + diag(M (psi - shift))
-positive definite).  Nothing here assembles the operator: inner solves go
-through the manifold's Jacobi-PCG solve from the current iterate, and lambda
-and the residual are its edge-form quotient and strong form.  The energy
+min(psi) - max(1, 1e-12 |min psi|) (which makes the shifted operator
+c S + diag(M (psi - shift)) positive definite).  Nothing here assembles the
+operator: inner solves go through the manifold's Jacobi-PCG solve from the
+current iterate, to its default tolerance 1e-13, and lambda and the
+residual are its edge-form quotient and strong form.  The energy
 
     E(u) = (c \\int |grad u|^2 + \\int psi u^2) / (\\int |u|^{p+1})^{2/(p+1)}
 
@@ -73,8 +74,10 @@ def lambda1(man: DiscreteManifold, psi: np.ndarray, c: float = 1.0) -> EigenResu
     """
     psi = _check_field(man, psi, "psi")
     mass = man.mass
-    shift = float(psi.min()) - 1.0
-    d = mass * (psi - shift)  # c S + diag(d) is SPD: psi - shift >= 1
+    # a gap of 1, or of 1e-12 |min psi| where 1 is lost in min psi's rounding
+    low = float(psi.min())
+    shift = low - max(1.0, 1e-12 * abs(low))
+    d = mass * (psi - shift)  # c S + diag(d) is SPD: psi - shift >= the gap
 
     v = np.full(man.node_count, 1.0 / math.sqrt(man.volume))
     lam = _quotient(man, v, psi, c, float(np.dot(mass, v * v)))

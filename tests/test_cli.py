@@ -91,6 +91,13 @@ def test_eigen_constant_potential():
     assert float(field(res.stdout, "residual")) <= 1e-10
 
 
+@pytest.mark.parametrize("a", ["1e16", "-1e16"])
+def test_eigen_huge_constant_potential(a):
+    res = run_cli("eigen", "--torus", f"64:{TWO_PI_STR}", f"--psi={a}")
+    assert res.returncode == 0, res.stderr
+    assert float(field(res.stdout, "lambda1")) == float(a)
+
+
 def test_eigen_off_mesh(octahedron_path):
     res = run_cli("eigen", "--off", str(octahedron_path), "--psi", "2")
     assert res.returncode == 0

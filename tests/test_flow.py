@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvflow import flow
+from curvflow.cli import preset_manifold, preset_u0
 from curvflow.errors import (
     ConfigError,
     IllConditionedInitialData,
@@ -330,6 +331,16 @@ def test_run_tmax_stop(circle64):
     res = run_flow(circle64, np.zeros(64), lognormal_field(circle64, 5), cfg)
     assert res.stop == STOP_TMAX
     assert res.final.t == pytest.approx(0.01, rel=1e-10)
+
+
+def test_run_does_not_end_on_a_sliver_step(circle128):
+    # after 2,000 steps of 1e-5 the clock's rounding leaves 6.5e-16 before
+    # t_max; that remainder joins the last step instead of a 2,001st
+    cfg = FlowConfig(scheme="imex", dt0=1e-5, t_max=0.02, tol_f=1e-300, tol_res=1e-300)
+    res = run_flow(circle128, -np.ones(128), lognormal_field(circle128, 0), cfg)
+    assert res.stop == STOP_TMAX
+    assert res.final.step == 2000
+    assert trace_column(res.trace[1:], "dt").min() >= 1e-9 * cfg.dt0
 
 
 def test_run_positivity_failure_stop(circle64, monkeypatch):
@@ -666,6 +677,18 @@ def test_run_loop_first_row_matches_public_helpers(scheme, circle128):
         assert (row.step, row.dt) == (1, dt)
         want = ref.imex(man, psi, 1.0, 3.0, u, 0.0, 0, dt)
         _assert_near((res.final, R, row.f, row.res_linf, row.u_min), want)
+
+
+def test_imex_thm2_golden_run():
+    # imex thm2 at dt 1e-3 from the preset start, against the run recorded
+    # while every Newton correction was solved to 1e-13: the inexact solves
+    # keep its step count and stop, and r_inf within IMEX_RTOL
+    man = preset_manifold("thm2")
+    res = run_flow(man, -np.ones(128), preset_u0("thm2", man, 0),
+                   FlowConfig(scheme="imex", dt0=1e-3))
+    assert (res.stop, res.final.step) == (STOP_CONVERGED, 2418)
+    golden = -2.5066282746309994
+    assert abs(res.r_infinity - golden) <= IMEX_RTOL * abs(golden)
 
 
 def test_settle_checks_fire(circle64):

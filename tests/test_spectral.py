@@ -42,10 +42,11 @@ def test_lambda1_constant_potential(circle128):
 
 @pytest.mark.parametrize("mesh", ["circle128", "torus2d"])
 @pytest.mark.parametrize("c", [1.0, 8.0])
-@pytest.mark.parametrize("a", [-1.0, 0.3, 1.0])
+@pytest.mark.parametrize("a", [-1.0, 0.3, 1.0, 1e16, -1e16])
 def test_lambda1_of_a_constant_potential_to_the_ulp(mesh, c, a, request):
     # the eigenfunction is constant and c S kills it, so lambda1 = a exactly;
-    # the edge-form Rayleigh quotient keeps c S out of the rounding
+    # the edge-form Rayleigh quotient keeps c S out of the rounding.  At
+    # |a| = 1e16, a - 1 rounds back to a: the shift's gap must grow with |a|
     man = request.getfixturevalue(mesh)
     res = lambda1(man, np.full(man.node_count, a), c)
     assert abs(res.lambda1 - a) <= 2 * np.spacing(abs(a))
