@@ -18,17 +18,18 @@ corrections pass a forcing tolerance, lambda1 keeps the default 1e-13.
 Only the oracle assembles the operator, into its bordered Jacobian.  A
 change to the discretization touches this file only.
 
-Two constructions are provided: uniform periodic grids (flat tori of any
-dimension, second-order finite differences) and closed triangulated
-surfaces loaded from OFF files (piecewise-linear FEM: cotangent stiffness
-with barycentric lumped mass).
+Two constructions are provided: flat tori of any dimension, products of
+second-order periodic circles under the lumped tensor product
+S = S_a (x) diag(M_b) + diag(M_a) (x) S_b, M = M_a (x) M_b, and closed
+triangulated surfaces loaded from OFF files (piecewise-linear FEM:
+cotangent stiffness with barycentric lumped mass).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -86,8 +87,9 @@ class DiscreteManifold:
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Strict upper triangle of S: edge list (i, j, w) with w = -S_ij.
         # Used for cancellation-free evaluation of the Dirichlet energy.
-        upper = sparse.triu(self.stiffness, k=1).tocoo()
-        return upper.row, upper.col, -upper.data
+        S = self.stiffness.tocoo()
+        upper = S.row < S.col  # what sparse.triu(S, k=1) keeps, without a second COO matrix
+        return S.row[upper], S.col[upper], -S.data[upper]
 
     @cached_property
     def _stiffness_diagonal(self) -> np.ndarray:
@@ -219,12 +221,8 @@ def _stiffness(n: int, edge_blocks: Sequence[tuple]) -> sparse.csr_matrix:
         rows.extend([i, j, i, j])
         cols.extend([j, i, i, j])
         vals.extend([-w, -w, w, w])
-    S = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    S.sum_duplicates()
-    return S
+    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sparse.coo_matrix(data, shape=(n, n)).tocsr()  # tocsr sums the duplicates
 
 
 def _validate(man: DiscreteManifold) -> DiscreteManifold:
@@ -247,46 +245,44 @@ def _validate(man: DiscreteManifold) -> DiscreteManifold:
     return man
 
 
+def _circle(N: int, L: float) -> DiscreteManifold:
+    """Circle of length L: N nodes at i h, h = L / N, each of mass h, neighbors
+    joined with weight 1 / h (the second-order central difference)."""
+    if int(N) != N or N < 3:
+        raise InvalidGridSpec(f"each count must be an integer >= 3, got {N!r}")
+    N, L = int(N), float(L)
+    if not (L > 0) or not math.isfinite(L):
+        raise InvalidGridSpec(f"each length must be positive and finite, got {L!r}")
+    h, i = L / N, np.arange(N)
+    S = _stiffness(N, [(i, (i + 1) % N, np.full(N, 1.0 / h))])
+    return DiscreteManifold(coordinates=(i * h)[:, None], mass=np.full(N, h), stiffness=S, dim=1)
+
+
+def _product(a: DiscreteManifold, b: DiscreteManifold) -> DiscreteManifold:
+    """Lumped tensor product a x b, nodes in C order (b's index fastest), as COO
+    triplets: S = S_a (x) diag(M_b) + diag(M_a) (x) S_b, M = M_a (x) M_b."""
+    A, B, nb = a.stiffness.tocoo(), b.stiffness.tocoo(), b.node_count
+    k, base = np.arange(nb), nb * np.arange(a.node_count)
+    vals = np.concatenate([np.kron(A.data, b.mass), np.kron(a.mass, B.data)])
+    rows = np.concatenate([np.add.outer(nb * A.row, k).ravel(), np.add.outer(base, B.row).ravel()])
+    cols = np.concatenate([np.add.outer(nb * A.col, k).ravel(), np.add.outer(base, B.col).ravel()])
+    coords = np.hstack([np.repeat(a.coordinates, nb, axis=0),
+                        np.tile(b.coordinates, (a.node_count, 1))])
+    S = sparse.coo_matrix((vals, (rows, cols)), shape=(len(coords),) * 2).tocsr()
+    return DiscreteManifold(coordinates=coords, mass=np.kron(a.mass, b.mass), stiffness=S,
+                            dim=a.dim + b.dim)
+
+
 def build_torus_grid(counts: Sequence[int], lengths: Sequence[float]) -> DiscreteManifold:
-    """Uniform periodic grid on a flat torus of the given side lengths.
-
-    Nodes sit at x_k = i_k * h_k with h_k = L_k / N_k, indexed in C order.
-    Every node gets mass prod_k h_k; the stiffness couples each periodic
-    neighbor pair along dimension k with weight (prod h) / h_k^2, which
-    reproduces the standard second-order central Laplacian.
-    """
-    counts = list(counts)
-    lengths = [float(L) for L in lengths]
+    """Uniform periodic grid on a flat torus, the product of the circles _circle(N_k, L_k):
+    nodes at x_k = i_k * h_k with h_k = L_k / N_k in C order, each of mass
+    prod_k h_k, and weight (prod_{j != k} h_j) / h_k on each periodic neighbor
+    pair along dimension k, the standard second-order central Laplacian."""
+    counts, lengths = list(counts), list(lengths)
     if len(counts) == 0 or len(counts) != len(lengths):
-        raise InvalidGridSpec(
-            f"need equally many counts and lengths, got {len(counts)} and {len(lengths)}"
-        )
-    for N in counts:
-        if int(N) != N or N < 3:
-            raise InvalidGridSpec(f"each count must be an integer >= 3, got {N!r}")
-    counts = [int(N) for N in counts]
-    for L in lengths:
-        if not (L > 0) or not math.isfinite(L):
-            raise InvalidGridSpec(f"each length must be positive and finite, got {L!r}")
-
-    n = len(counts)
-    total = int(np.prod(counts))
-    h = np.array([L / N for L, N in zip(lengths, counts)])
-    cellvol = float(np.prod(h))
-
-    grids = np.indices(counts)
-    coords = np.empty((total, n))
-    for k in range(n):
-        coords[:, k] = grids[k].ravel() * h[k]
-
-    idx = np.arange(total).reshape(counts)
-    S = _stiffness(total, [
-        (idx.ravel(), np.roll(idx, -1, axis=k).ravel(), np.full(total, cellvol / (h[k] * h[k])))
-        for k in range(n)
-    ])
-
-    man = DiscreteManifold(coordinates=coords, mass=np.full(total, cellvol), stiffness=S, dim=n)
-    return _validate(man)
+        raise InvalidGridSpec(f"need equally many counts and lengths, "
+                              f"got {len(counts)} and {len(lengths)}")
+    return _validate(reduce(_product, map(_circle, counts, lengths)))
 
 
 def _off_tokens(text: str) -> list[tuple[str, int]]:

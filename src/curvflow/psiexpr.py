@@ -189,7 +189,10 @@ class _Parser:
 
 def parse(text: str) -> PsiSpec:
     """Parse an expression into a PsiSpec, raising ParseError with the byte offset."""
-    return PsiSpec(_Parser(text).parse())
+    try:
+        return PsiSpec(_Parser(text).parse())
+    except RecursionError:  # the parser recurses once per '(' or unary '-'
+        raise ParseError("expression nests too deeply", 0) from None
 
 
 def _eval(node: Node, coords: np.ndarray, ambient: int):

@@ -76,13 +76,14 @@ def lambda1(man: DiscreteManifold, psi: np.ndarray, c: float = 1.0) -> EigenResu
     mass = man.mass
     # a gap of 1, or of 1e-12 |min psi| where 1 is lost in min psi's rounding
     low = float(psi.min())
-    shift = low - max(1.0, 1e-12 * abs(low))
-    d = mass * (psi - shift)  # c S + diag(d) is SPD: psi - shift >= the gap
+    gap = max(1.0, 1e-12 * abs(low))
+    shift = low - gap
+    d = mass * (psi - shift) / gap  # c S / gap + diag(d) is SPD; x stays near v at any |psi|
 
     v = np.full(man.node_count, 1.0 / math.sqrt(man.volume))
     lam = _quotient(man, v, psi, c, float(np.dot(mass, v * v)))
     for it in range(1, _EIG_MAX_ITER + 1):
-        x = _solve(man, c, d, mass * v, x0=v / max(lam - shift, 1e-3))
+        x = _solve(man, c / gap, d, mass * v, x0=v / max((lam - shift) / gap, 1e-3))
         nrm = math.sqrt(float(np.dot(x, mass * x)))
         if nrm == 0.0 or not math.isfinite(nrm):
             raise EigenNoConvergence("inverse iteration collapsed to zero")

@@ -91,7 +91,7 @@ def test_eigen_constant_potential():
     assert float(field(res.stdout, "residual")) <= 1e-10
 
 
-@pytest.mark.parametrize("a", ["1e16", "-1e16"])
+@pytest.mark.parametrize("a", ["1e16", "-1e16", "1e200", "-1e200"])
 def test_eigen_huge_constant_potential(a):
     res = run_cli("eigen", "--torus", f"64:{TWO_PI_STR}", f"--psi={a}")
     assert res.returncode == 0, res.stderr
@@ -264,13 +264,17 @@ BAD_INPUTS = {
                                    "--max-steps", "5"),
     "out-directory": lambda tmp: ("run", "--torus", "16:1", "--psi", "-1", "--max-steps", "1",
                                   "--out", str(tmp)),
+    "psi-deep-parens": lambda tmp: ("eigen", "--torus", "8:6.28",
+                                    "--psi=" + "(" * 300 + "1" + ")" * 300),
+    "psi-deep-minus": lambda tmp: ("eigen", "--torus", "8:6.28", "--psi=" + "-" * 985 + "1"),
 }
 
 
 # what the error line must name, where a later failure could mask the cause
 BAD_INPUT_NAMES = {"tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
                    "off-nan-vertex": "line 8", "p-overflow": "f = inf",
-                   "psi-overflow-f": "f = inf"}
+                   "psi-overflow-f": "f = inf", "psi-deep-parens": "nests too deeply",
+                   "psi-deep-minus": "nests too deeply"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

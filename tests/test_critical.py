@@ -4,6 +4,13 @@ On the flat 3-torus of side 2 pi the flow runs with p = (n+2)/(n-2) = 5 and
 c = c_3 = 4(n-1)/(n-2) = 8.  With psi = a constant and (p-1) a below
 c lambda1(-Lap) = 8, the constant field is the stable limit, with energy
 E = a V^{2/3}.  The 8^3 grid keeps each run under a second.
+
+On S^2(1) x S^1(L), the product of an icosphere and a circle, psi = 2 is the
+scalar curvature, so E is the Yamabe functional.  The constant is stable
+while (p-1) 2 = 8 stays below c lambda1(-Lap) = 8 min(2, (2 pi / L)^2), as
+at L = 5.  At L = 12 it is not, and its energy is above Y(S^3); the flow
+goes on to a nonconstant limit below both, as Aubin's inequality
+Y(M) < Y(S^3) has it.
 """
 
 import numpy as np
@@ -11,10 +18,11 @@ import pytest
 
 from curvflow.elliptic import newton_constrained
 from curvflow.flow import STOP_CONVERGED, FlowConfig, default_c, run_flow, trace_column
-from curvflow.manifold import build_torus_grid, integrate
-from curvflow.spectral import energy_E, lambda1, lognormal_field
+from curvflow.manifold import (
+    _circle, _product, _validate, build_torus_grid, integrate, load_off_mesh)
+from curvflow.spectral import energy_E, lambda1, lognormal_field, y_sphere_constant
 
-from conftest import TWO_PI
+from conftest import TWO_PI, make_icosphere, write_off
 
 EPS = np.finfo(float).eps
 P = 5.0
@@ -49,3 +57,40 @@ def test_imex_reaches_the_constant_limit(a, torus3):
 def test_lambda1_of_a_constant_potential(a, torus3):
     e = lambda1(torus3, np.full(torus3.node_count, a), default_c(3))
     assert abs(e.lambda1 - a) <= 2 * np.spacing(abs(a))
+
+
+@pytest.fixture(scope="module")
+def sphere2(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mesh") / "icosphere2.off"
+    write_off(path, *make_icosphere(2))
+    return load_off_mesh(str(path))
+
+
+@pytest.mark.parametrize("L", [5.0, 12.0])
+def test_imex_on_s2_times_s1(L, sphere2):
+    man = _validate(_product(sphere2, _circle(16, L)))
+    assert (man.node_count, man.dim, man.ambient_dim) == (2592, 3, 4)
+    c = default_c(3)
+    psi = np.full(man.node_count, 2.0)
+    cfg = FlowConfig(scheme="imex", dt0=1e-2, p=P, c=c, t_max=200.0)
+    res = run_flow(man, psi, lognormal_field(man, (0, 0)), cfg)
+    assert res.stop == STOP_CONVERGED
+    u = res.final.u
+    E = energy_E(man, u, psi, c, P)
+    E_const = 2.0 * man.volume ** ((P - 1.0) / (P + 1.0))
+    if L == 5.0:
+        assert abs(E - E_const) <= 4 * EPS * E_const
+        assert u.max() / u.min() <= 1.0 + 1e-7
+    else:
+        # measured: E 34.08, the constant's 55.95, Y(S^3) 43.82, u_max / u_min 67.6
+        assert E_const > y_sphere_constant(3)
+        assert E <= 0.65 * E_const and E <= 0.8 * y_sphere_constant(3)
+        assert u.max() / u.min() >= 50.0
+    assert abs(integrate(man, u ** (P + 1.0)) - 1.0) <= 1e-13
+    r = trace_column(res.trace, "r")
+    assert np.all(np.diff(r) <= 8 * EPS * np.abs(r[:-1]))
+    # acceptance 07's oracle tolerances
+    newt = newton_constrained(man, psi, c, P, u)
+    assert np.max(np.abs(newt.u - u)) <= 1e-6
+    assert abs(newt.r - res.final.r) <= 1e-8
+    assert abs(lambda1(man, psi, c).lambda1 - 2.0) <= 2 * np.spacing(2.0)

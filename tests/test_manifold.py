@@ -24,6 +24,7 @@ from curvflow.manifold import (
 )
 
 from conftest import OCTAHEDRON_OFF, TWO_PI, circle
+from reference_grid import torus_grid_arrays
 
 
 def test_circle_volume_exact():
@@ -50,6 +51,51 @@ def test_grid_spec_errors():
         build_torus_grid([8], [-1.0])
     with pytest.raises(InvalidGridSpec):
         build_torus_grid([], [])
+
+
+def _grid_gaps(counts, lengths):
+    """(largest S move in ulps, S's pattern equal, coordinates equal, mass
+    equal) of build_torus_grid against the n-D index assembly."""
+    coords, mass, S = torus_grid_arrays(counts, lengths)
+    man = build_torus_grid(counts, lengths)
+    T = man.stiffness
+    pattern = np.array_equal(T.indptr, S.indptr) and np.array_equal(T.indices, S.indices)
+    ulps = math.inf
+    if pattern:
+        ulps = float(np.max(np.abs(T.data - S.data) / np.spacing(np.abs(S.data))))
+    return ulps, pattern, np.array_equal(man.coordinates, coords), np.array_equal(man.mass, mass)
+
+
+# every grid the test suite and the bench build from fixed counts and sides
+# (the circles drawn at random are the last test's)
+BUILT_GRIDS = [([n], [L]) for n, L in [
+    (3, TWO_PI), (8, TWO_PI), (16, 1.0), (16, TWO_PI), (32, 1.0), (32, TWO_PI), (64, 1.0),
+    (64, TWO_PI), (128, TWO_PI), (256, TWO_PI), (512, TWO_PI), (1024, TWO_PI)]] + [
+    ([4, 4], [1.0] * 2), ([8, 8], [1.0] * 2), ([16, 16], [1.0] * 2), ([8, 8], [TWO_PI] * 2),
+    ([24, 24], [TWO_PI] * 2), ([32, 32], [TWO_PI] * 2), ([8, 8, 8], [TWO_PI] * 3)]
+
+
+@pytest.mark.parametrize("counts,lengths", BUILT_GRIDS)
+def test_torus_grid_is_the_index_assembly_bit_for_bit(counts, lengths):
+    assert _grid_gaps(counts, lengths) == (0.0, True, True, True)
+
+
+# grids where the product's weight (1/h_0) h_1 rounds apart from (h_0 h_1) / h_0^2,
+# or its diagonal 2a + 2b from a + a + b + b
+@pytest.mark.parametrize("counts,lengths", [
+    ([5, 6, 7], [1.0, 2.0, 3.0]), ([3, 3], [0.1, 0.7]), ([16, 24], [TWO_PI] * 2),
+    ([12, 12, 12], [TWO_PI] * 3), ([1000, 3], [TWO_PI] * 2), ([1000, 1000], [TWO_PI] * 2)])
+def test_torus_grid_is_the_index_assembly_to_an_ulp(counts, lengths):
+    ulps, *equal = _grid_gaps(counts, lengths)
+    assert 0.0 < ulps <= 1.0 and all(equal)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=3, max_value=40), length=st.floats(min_value=0.1, max_value=50.0))
+def test_circle_is_the_index_assembly_to_an_ulp(n, length):
+    # 1 / h against h / h^2: a quarter of circles differ, by one ulp
+    ulps, *equal = _grid_gaps([n], [length])
+    assert ulps <= 1.0 and all(equal)
 
 
 def test_stiffness_symmetric_exact(circle128):

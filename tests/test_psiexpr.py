@@ -78,6 +78,10 @@ def test_parse_error_offsets():
         parse("")
     with pytest.raises(ParseError):
         parse("1 + @")
+    for deep in ("(" * 300 + "1" + ")" * 300, "-" * 985 + "1"):
+        with pytest.raises(ParseError, match="nests too deeply") as err:
+            parse(deep)
+        assert err.value.offset == 0
 
 
 def test_no_implicit_multiplication():

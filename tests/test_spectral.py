@@ -52,6 +52,21 @@ def test_lambda1_of_a_constant_potential_to_the_ulp(mesh, c, a, request):
     assert abs(res.lambda1 - a) <= 2 * np.spacing(abs(a))
 
 
+@pytest.mark.parametrize("mesh, ulps", [("circle128", 2), ("torus2d", 4)])
+@pytest.mark.parametrize("c", [1.0, 8.0])
+@pytest.mark.parametrize("a", [1e200, -1e200, 1e300, -1e300])
+def test_lambda1_of_a_huge_constant_potential(mesh, ulps, c, a, request):
+    # unscaled, the first iterate is about v / gap and its x^T M x underflows
+    # to zero; solved divided by the gap, it stays v.  The eigenfunction comes
+    # out exactly constant, so what is left is the quotient's two dot
+    # products, which over the torus's 1024 equal terms round by up to 4 ulps
+    man = request.getfixturevalue(mesh)
+    res = lambda1(man, np.full(man.node_count, a), c)
+    assert res.iterations == 1
+    assert np.ptp(res.eigenfunction) == 0.0
+    assert abs(res.lambda1 - a) <= ulps * np.spacing(abs(a))
+
+
 def test_lambda1_against_dense_solver():
     man = circle(512)
     psi = np.cos(man.coordinates[:, 0])
