@@ -36,6 +36,7 @@ from .manifold import (
     integrate,
     laplacian_apply,
     load_off_mesh,
+    product,
 )
 from .psiexpr import PsiSpec, evaluate, parse
 from .spectral import (

@@ -22,12 +22,13 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from functools import reduce
 
 import numpy as np
 
 from . import elliptic, flow, gauss, spectral
 from .errors import CurvFlowError
-from .manifold import DiscreteManifold, build_torus_grid, load_off_mesh
+from .manifold import DiscreteManifold, build_torus_grid, load_off_mesh, product
 from .psiexpr import evaluate, parse
 
 __all__ = ["main", "PRESETS"]
@@ -100,7 +101,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     """The manifold and potential flags that every subcommand takes."""
-    p.add_argument("--torus", help="periodic grid as N:L[,N:L...]")
+    p.add_argument("--torus", help="periodic grid as N:L[,N:L...]; with --off, the mesh times it")
     p.add_argument("--off", help="path to an OFF surface mesh")
     p.add_argument("--preset", choices=sorted(PRESETS), help="frozen named setup")
     p.add_argument("--psi", help="potential expression over x1..xn")
@@ -129,19 +130,16 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_manifold(args) -> DiscreteManifold:
-    sources = [s for s in (args.torus, args.off, args.preset) if s]
-    if not sources:
-        raise CliUsageError("specify a manifold via --torus, --off or --preset")
-    if args.preset and (args.torus or args.off):
-        raise CliUsageError("--preset already fixes the manifold")
-    if args.torus and args.off:
-        raise CliUsageError("--torus and --off are mutually exclusive")
+    """--preset's manifold; else --off's mesh, --torus's grid, or with both their product."""
     if args.preset:
+        if args.torus or args.off:
+            raise CliUsageError("--preset already fixes the manifold")
         return preset_manifold(args.preset)
-    if args.off:
-        return load_off_mesh(args.off)
+    if not (args.torus or args.off):
+        raise CliUsageError("specify a manifold via --torus, --off or --preset")
+    factors = [load_off_mesh(args.off)] if args.off else []
     pairs = []
-    for item in args.torus.split(","):
+    for item in args.torus.split(",") if args.torus else []:
         bits = item.split(":")
         if len(bits) != 2:
             raise CliUsageError(f"bad --torus component {item!r}, expected N:L")
@@ -149,7 +147,9 @@ def build_manifold(args) -> DiscreteManifold:
             pairs.append((int(bits[0]), float(bits[1])))
         except ValueError as exc:
             raise CliUsageError(f"bad --torus component {item!r}: {exc}") from exc
-    return build_torus_grid([n for n, _ in pairs], [L for _, L in pairs])
+    if pairs:
+        factors.append(build_torus_grid(*zip(*pairs)))
+    return reduce(product, factors)
 
 
 def resolve_c(raw, man: DiscreteManifold, default: float) -> float:

@@ -18,11 +18,13 @@ corrections pass a forcing tolerance, lambda1 keeps the default 1e-13.
 Only the oracle assembles the operator, into its bordered Jacobian.  A
 change to the discretization touches this file only.
 
-Two constructions are provided: flat tori of any dimension, products of
-second-order periodic circles under the lumped tensor product
-S = S_a (x) diag(M_b) + diag(M_a) (x) S_b, M = M_a (x) M_b, and closed
-triangulated surfaces loaded from OFF files (piecewise-linear FEM:
-cotangent stiffness with barycentric lumped mass).
+Constructions: periodic circles (second-order differences), closed surfaces
+from OFF files (P1 FEM: cotangent S, barycentric lumped M), and product(a, b),
+the lumped tensor product S_a (x) diag(M_b) + diag(M_a) (x) S_b, M_a (x) M_b;
+a flat torus is a product of circles.  S = S^T, S 1 = 0 and S >= 0 hold by
+construction and go unchecked: each weight goes to (i, j), (j, i) and both
+diagonals from one value; grid weights are >= 0; a mesh's S sums per-triangle
+Gram matrices; a product sums two PSD Kronecker terms overlapping on the diagonal.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "DiscreteManifold",
     "build_torus_grid",
     "load_off_mesh",
+    "product",
     "integrate",
     "dirichlet_energy",
     "laplacian_apply",
@@ -63,13 +66,22 @@ class DiscreteManifold:
     coordinate dimension (equal to `dim` for grids, 3 for embedded
     surfaces).  `dim` is the intrinsic dimension.  Instances are safe to
     share between concurrent readers; nothing mutates them after
-    construction.
+    construction, which raises CurvFlowError unless every mass is finite and
+    positive and every stored stiffness entry is finite.
     """
 
     coordinates: np.ndarray
     mass: np.ndarray
     stiffness: sparse.csr_matrix
     dim: int
+
+    def __post_init__(self):
+        # min and max allocate no temporaries, and a NaN anywhere propagates into both
+        if not 0 < self.mass.min() <= self.mass.max() < math.inf:
+            raise CurvFlowError("mass vector must be finite and strictly positive")
+        S = self.stiffness.data
+        if not -math.inf < S.min(initial=0.0) <= S.max(initial=0.0) < math.inf:
+            raise CurvFlowError("stiffness matrix has an entry that is not finite")
 
     @property
     def node_count(self) -> int:
@@ -105,8 +117,9 @@ class DiscreteManifold:
 
     @cached_property
     def bbox_diameter(self) -> float:
-        spans = self.coordinates.max(axis=0) - self.coordinates.min(axis=0)
-        return float(np.sqrt(np.sum(spans**2)))
+        with np.errstate(over="ignore"):  # inf for a box too large to square
+            spans = self.coordinates.max(axis=0) - self.coordinates.min(axis=0)
+            return float(np.sqrt(np.sum(spans**2)))
 
 
 def _check_field(man: DiscreteManifold, f: np.ndarray, name: str = "field") -> np.ndarray:
@@ -225,42 +238,23 @@ def _stiffness(n: int, edge_blocks: Sequence[tuple]) -> sparse.csr_matrix:
     return sparse.coo_matrix(data, shape=(n, n)).tocsr()  # tocsr sums the duplicates
 
 
-def _validate(man: DiscreteManifold) -> DiscreteManifold:
-    """Construction-time invariant checks shared by both constructors."""
-    if np.any(man.mass <= 0):
-        raise CurvFlowError("mass vector must be strictly positive")
-    asym = man.stiffness - man.stiffness.T
-    if asym.nnz and np.max(np.abs(asym.data)) != 0.0:
-        raise CurvFlowError("stiffness matrix is not exactly symmetric")
-    rowsums = np.asarray(np.abs(man.stiffness @ np.ones(man.node_count)))
-    rowscale = np.asarray(abs(man.stiffness).sum(axis=1)).ravel()
-    if rowsums.max() > 1e-12 * max(rowscale.max(), 1.0):
-        raise CurvFlowError("stiffness row sums are not zero")
-    rng = np.random.default_rng(0)
-    for _ in range(20):  # random PSD probes
-        x = rng.standard_normal(man.node_count)
-        # edge form: exact up to relative roundoff, no cancellation
-        if dirichlet_energy(man, x) < -1e-12 * float(np.dot(x, x)):
-            raise CurvFlowError("stiffness matrix failed a PSD probe")
-    return man
-
-
 def _circle(N: int, L: float) -> DiscreteManifold:
     """Circle of length L: N nodes at i h, h = L / N, each of mass h, neighbors
     joined with weight 1 / h (the second-order central difference)."""
     if int(N) != N or N < 3:
         raise InvalidGridSpec(f"each count must be an integer >= 3, got {N!r}")
     N, L = int(N), float(L)
-    if not (L > 0) or not math.isfinite(L):
-        raise InvalidGridSpec(f"each length must be positive and finite, got {L!r}")
     h, i = L / N, np.arange(N)
+    if not (0 < h < math.inf and 1.0 / h < math.inf):  # then L is positive and finite too
+        raise InvalidGridSpec(f"each length L must make L/N, N/L positive and finite, got {L!r}")
     S = _stiffness(N, [(i, (i + 1) % N, np.full(N, 1.0 / h))])
     return DiscreteManifold(coordinates=(i * h)[:, None], mass=np.full(N, h), stiffness=S, dim=1)
 
 
-def _product(a: DiscreteManifold, b: DiscreteManifold) -> DiscreteManifold:
-    """Lumped tensor product a x b, nodes in C order (b's index fastest), as COO
-    triplets: S = S_a (x) diag(M_b) + diag(M_a) (x) S_b, M = M_a (x) M_b."""
+@np.errstate(over="ignore")  # an overflow is inf, which DiscreteManifold rejects
+def product(a: DiscreteManifold, b: DiscreteManifold) -> DiscreteManifold:
+    """Lumped tensor product a x b: S = S_a (x) diag(M_b) + diag(M_a) (x) S_b, M = M_a (x) M_b,
+    nodes in C order (b's index fastest), coordinates [a's, b's], dimension dim_a + dim_b."""
     A, B, nb = a.stiffness.tocoo(), b.stiffness.tocoo(), b.node_count
     k, base = np.arange(nb), nb * np.arange(a.node_count)
     vals = np.concatenate([np.kron(A.data, b.mass), np.kron(a.mass, B.data)])
@@ -277,12 +271,14 @@ def build_torus_grid(counts: Sequence[int], lengths: Sequence[float]) -> Discret
     """Uniform periodic grid on a flat torus, the product of the circles _circle(N_k, L_k):
     nodes at x_k = i_k * h_k with h_k = L_k / N_k in C order, each of mass
     prod_k h_k, and weight (prod_{j != k} h_j) / h_k on each periodic neighbor
-    pair along dimension k, the standard second-order central Laplacian."""
+    pair along dimension k, the standard second-order central Laplacian.  All
+    weights are positive, so S is symmetric, PSD and has zero row sums.  A mass that
+    over- or underflows, or a weight that overflows, fails DiscreteManifold's check."""
     counts, lengths = list(counts), list(lengths)
     if len(counts) == 0 or len(counts) != len(lengths):
         raise InvalidGridSpec(f"need equally many counts and lengths, "
                               f"got {len(counts)} and {len(lengths)}")
-    return _validate(reduce(_product, map(_circle, counts, lengths)))
+    return reduce(product, map(_circle, counts, lengths))
 
 
 def _off_tokens(text: str) -> list[tuple[str, int]]:
@@ -396,5 +392,4 @@ def load_off_mesh(path: str) -> DiscreteManifold:
     np.add.at(mass, faces[:, 1], areas / 3.0)
     np.add.at(mass, faces[:, 2], areas / 3.0)
 
-    man = DiscreteManifold(coordinates=verts, mass=mass, stiffness=S, dim=2)
-    return _validate(man)
+    return DiscreteManifold(coordinates=verts, mass=mass, stiffness=S, dim=2)

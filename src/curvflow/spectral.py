@@ -132,8 +132,11 @@ def lognormal_field(man: DiscreteManifold, seed) -> np.ndarray:
         raise ConfigError(f"bad seed {seed!r}: {exc}") from exc
     white = rng.standard_normal(man.node_count)
     ell = _CORR_FRACTION * man.bbox_diameter
-    # one factorization serves both passes
-    helm = splu((sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc())
+    with np.errstate(over="ignore", invalid="ignore"):
+        helm = (sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc()
+    if not np.all(np.isfinite(helm.data)):
+        raise CurvFlowError(f"smoother M + ell^2 S overflows at correlation length {ell:.3g}")
+    helm = splu(helm)  # one factorization serves both passes
     g = white
     for _ in range(2):
         g = helm.solve(man.mass * g)

@@ -26,6 +26,25 @@ OCTAHEDRON_OFF = """OFF
 """
 
 
+# A triangular bipyramid flattened to poles at z = +-0.2: the angles at the
+# poles are about 116 degrees, so the equator edges get negative cotangent
+# weights.
+BIPYRAMID_OFF = """OFF
+5 6 9
+1 0 0
+-0.5 0.8660254037844386 0
+-0.5 -0.8660254037844386 0
+0 0 0.2
+0 0 -0.2
+3 0 1 3
+3 1 2 3
+3 2 0 3
+3 1 0 4
+3 2 1 4
+3 0 2 4
+"""
+
+
 def circle(n, length=TWO_PI):
     return build_torus_grid([n], [length])
 
@@ -105,6 +124,13 @@ def octahedron_path(tmp_path_factory):
 @pytest.fixture(scope="session")
 def octahedron(octahedron_path):
     return load_off_mesh(octahedron_path)
+
+
+@pytest.fixture(scope="session")
+def bipyramid(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mesh") / "bipyramid.off"
+    path.write_text(BIPYRAMID_OFF)
+    return load_off_mesh(str(path))
 
 
 @pytest.fixture(scope="session")

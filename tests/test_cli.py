@@ -9,7 +9,7 @@ import pytest
 from curvflow import cli, flow, gauss
 from curvflow.flow import TRACE_HEADER
 
-from conftest import OCTAHEDRON_OFF
+from conftest import OCTAHEDRON_OFF, make_icosphere, write_off
 
 TWO_PI_STR = "6.283185307179586"
 
@@ -98,9 +98,15 @@ def test_eigen_huge_constant_potential(a):
     assert float(field(res.stdout, "lambda1")) == float(a)
 
 
-def test_eigen_off_mesh(octahedron_path):
+def test_eigen_off_mesh(octahedron_path, tmp_path):
     res = run_cli("eigen", "--off", str(octahedron_path), "--psi", "2")
     assert res.returncode == 0
+    assert float(field(res.stdout, "lambda1")) == pytest.approx(2.0, abs=1e-10)
+    # --off and --torus compose into S^2 x S^1, of dimension 3, so --c auto is 8
+    sphere = tmp_path / "icosphere2.off"
+    write_off(sphere, *make_icosphere(2))
+    res = run_cli("eigen", "--off", str(sphere), "--torus", "16:5", "--psi", "2", "--c", "auto")
+    assert res.returncode == 0, res.stderr
     assert float(field(res.stdout, "lambda1")) == pytest.approx(2.0, abs=1e-10)
 
 
@@ -267,6 +273,10 @@ BAD_INPUTS = {
     "psi-deep-parens": lambda tmp: ("eigen", "--torus", "8:6.28",
                                     "--psi=" + "(" * 300 + "1" + ")" * 300),
     "psi-deep-minus": lambda tmp: ("eigen", "--torus", "8:6.28", "--psi=" + "-" * 985 + "1"),
+    "torus-step-zero": lambda tmp: ("eigen", "--torus", "3:5e-324", "--psi", "1"),
+    "torus-step-inverse-overflow": lambda tmp: ("eigen", "--torus", "4:1e-310", "--psi", "1"),
+    "torus-weight-overflow": lambda tmp: ("eigen", "--torus", "3:3e-300,3:3e300", "--psi", "1"),
+    "torus-smoother-overflow": lambda tmp: ("run", "--torus", "8:1e200", "--psi", "-1"),
 }
 
 
@@ -274,7 +284,9 @@ BAD_INPUTS = {
 BAD_INPUT_NAMES = {"tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
                    "off-nan-vertex": "line 8", "p-overflow": "f = inf",
                    "psi-overflow-f": "f = inf", "psi-deep-parens": "nests too deeply",
-                   "psi-deep-minus": "nests too deeply"}
+                   "psi-deep-minus": "nests too deeply", "torus-step-zero": "N/L",
+                   "torus-step-inverse-overflow": "N/L", "torus-weight-overflow": "stiffness",
+                   "torus-smoother-overflow": "ell^2"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

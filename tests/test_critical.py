@@ -18,8 +18,7 @@ import pytest
 
 from curvflow.elliptic import newton_constrained
 from curvflow.flow import STOP_CONVERGED, FlowConfig, default_c, run_flow, trace_column
-from curvflow.manifold import (
-    _circle, _product, _validate, build_torus_grid, integrate, load_off_mesh)
+from curvflow.manifold import build_torus_grid, integrate, load_off_mesh, product
 from curvflow.spectral import energy_E, lambda1, lognormal_field, y_sphere_constant
 
 from conftest import TWO_PI, make_icosphere, write_off
@@ -68,7 +67,7 @@ def sphere2(tmp_path_factory):
 
 @pytest.mark.parametrize("L", [5.0, 12.0])
 def test_imex_on_s2_times_s1(L, sphere2):
-    man = _validate(_product(sphere2, _circle(16, L)))
+    man = product(sphere2, build_torus_grid([16], [L]))
     assert (man.node_count, man.dim, man.ambient_dim) == (2592, 3, 4)
     c = default_c(3)
     psi = np.full(man.node_count, 2.0)

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from curvflow.errors import (
+    CurvFlowError,
     DegenerateTriangle,
     InnerSolverFailure,
     InvalidGridSpec,
@@ -16,11 +18,13 @@ from curvflow.errors import (
 from curvflow.manifold import (
     _PCG_RTOL,
     _solve,
+    DiscreteManifold,
     build_torus_grid,
     dirichlet_energy,
     integrate,
     laplacian_apply,
     load_off_mesh,
+    product,
 )
 
 from conftest import OCTAHEDRON_OFF, TWO_PI, circle
@@ -51,6 +55,27 @@ def test_grid_spec_errors():
         build_torus_grid([8], [-1.0])
     with pytest.raises(InvalidGridSpec):
         build_torus_grid([], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # each error must come without a RuntimeWarning
+        with pytest.raises(InvalidGridSpec, match="N/L"):
+            build_torus_grid([3], [5e-324])  # h = L/N rounds to 0
+        with pytest.raises(InvalidGridSpec, match="N/L"):
+            build_torus_grid([4], [1e-310])  # 1/h overflows
+        with pytest.raises(CurvFlowError, match="stiffness"):
+            build_torus_grid([3, 3], [3e-300, 3e300])  # the weight (1/h_0) h_1 overflows
+
+
+def test_hand_built_manifold_is_checked():
+    S = circle(4).stiffness
+    for mass in ([1.0, 1.0, 0.0, 1.0], [1.0, -1.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0],
+                 [1.0, 1.0, np.inf, 1.0]):
+        with pytest.raises(CurvFlowError, match="mass"):
+            DiscreteManifold(coordinates=np.zeros((4, 1)), mass=np.array(mass), stiffness=S, dim=1)
+    for bad in (np.inf, -np.inf, np.nan):
+        T = S.copy()
+        T.data[2] = bad
+        with pytest.raises(CurvFlowError, match="stiffness"):
+            DiscreteManifold(coordinates=np.zeros((4, 1)), mass=np.ones(4), stiffness=T, dim=1)
 
 
 def _grid_gaps(counts, lengths):
@@ -193,21 +218,45 @@ def test_dirichlet_energy_second_order_convergence():
         assert coarse / fine >= 3.5
 
 
+def _assert_stiffness_identities(man, grid):
+    """What construction guarantees and nothing checks at run time: S = S^T
+    exactly, zero row sums to roundoff, and on grids every weight -S_ij >= 0."""
+    S = man.stiffness
+    assert (S != S.T).nnz == 0
+    row_sums = np.abs(S @ np.ones(man.node_count))
+    row_scale = np.asarray(abs(S).sum(axis=1)).ravel()
+    assert np.all(row_sums <= 1e-12 * row_scale)
+    if grid:
+        off = sparse.triu(S, k=1)
+        assert np.all(off.data <= 0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=40),
     length=st.floats(min_value=0.1, max_value=50.0),
+    more=st.lists(st.tuples(st.integers(min_value=3, max_value=10),
+                            st.floats(min_value=0.1, max_value=50.0)), max_size=2),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_grid_operator_properties(n, length, seed):
-    man = build_torus_grid([n], [length])
-    assert man.volume == pytest.approx(length, rel=1e-12)
+def test_grid_operator_properties(n, length, more, seed, octahedron):
+    counts, lengths = [n] + [m for m, _ in more], [length] + [L for _, L in more]
+    man = build_torus_grid(counts, lengths)
+    assert man.volume == pytest.approx(math.prod(lengths), rel=1e-12)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
+    x = rng.standard_normal(man.node_count)
     assert dirichlet_energy(man, x) >= -1e-12 * float(x @ x)
-    row_sums = np.abs(np.asarray(man.stiffness.sum(axis=1))).max()
-    row_scale = np.abs(man.stiffness).sum(axis=1).max()
-    assert row_sums <= 1e-12 * row_scale
+    _assert_stiffness_identities(man, grid=True)
+    _assert_stiffness_identities(product(octahedron, circle(n, length)), grid=False)
+
+
+def test_obtuse_mesh_stiffness_is_psd(bipyramid):
+    # some cotangent weights are negative, yet S is PSD: a sum of per-triangle Gram matrices
+    assert sparse.triu(bipyramid.stiffness, k=1).data.max() > 0
+    for man in (bipyramid, product(bipyramid, circle(7, 3.0))):
+        _assert_stiffness_identities(man, grid=False)
+        S = man.stiffness
+        assert np.linalg.eigvalsh(S.toarray()).min() >= -1e-12 * abs(S).max()
 
 
 @settings(max_examples=25, deadline=None)
