@@ -18,28 +18,35 @@ Quantities logged per trace row: r, the drift, u and R extrema, the decay
 functional f = \\int (R - r)^2 u^{p+1} dv (which satisfies dr/dt = -2 f
 along exact trajectories) and the stationarity residual in max norm.
 
-_drive is the package's one run loop: run_flow and gauss.run_gauss_flow
-hand it a stepper, and it owns stopping, budgets, dt halving and thinning.
+_loop is the package's one run loop: it owns stopping, budgets, dt halving
+and thinning for one run, as a generator that asks for each dt it wants
+tried.  _drive_all runs several loops at once and yields their results in
+order; run_flow and gauss.run_gauss_flow (through _drive) run one, and
+spectral.relax_many runs one per start, the explicit steps of all live
+starts taken as one (B, N) stack.  Every run equals its solo run bit for bit.
 
 Each formula of the flow is written once, as a private kernel on arrays
 that are already validated: R (_curvature), the checked constraint
 integral (_integral), the two-pass projection (_project), and f with the
-residual (_diagnose).  The public helpers validate and call them, and the
-run loop's _settle is built from them, so a run composes the arithmetic
-the helpers expose.  The operator -c Lap + psi comes from the manifold
-module, as its strong form (_apply) and as its quadratic form over a given
-denominator (_quotient), and so does the SPD solve of each imex Newton
-step: the Newton system is solved in its symmetric form, and a step whose
-matrix is not SPD is rejected like one that loses positivity, so the run
-loop halves its dt.  Newton is inexact: each correction is solved only to
-the forcing tolerance _FORCING times what the exit test max |F| <=
-_NEWTON_TOL max(1, |target|) could need of it, never tighter than the
-solver's 1e-13 and never looser than 1e-2; the exit test itself checks
-the true F.
+residual (_diagnose).  The explicit kernels take one (N,) field or a
+(B, N) stack; per-field scalars are floats or (B, 1) columns, and every
+reduction and every power of a scalar is taken row by row as for one
+field.  The public helpers validate and call them, and the run loop's
+_settle is built from them, so a run composes the arithmetic the helpers
+expose.  The operator -c Lap + psi comes from the manifold module, as its
+strong form (_apply) and as its quadratic form over a given denominator
+(_quotient), and so does the SPD solve of each imex Newton step: the
+Newton system is solved in its symmetric form, and a step whose matrix is
+not SPD is rejected like one that loses positivity, so the run loop halves
+its dt.  Newton is inexact: each correction is solved only to the forcing
+tolerance _FORCING times what the exit test max |F| <= _NEWTON_TOL
+max(1, |target|) could need of it, never tighter than the solver's 1e-13
+and never looser than 1e-2; the exit test itself checks the true F.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -57,7 +64,15 @@ from .errors import (
     StepRejectedPositivity,
     ZeroDenominator,
 )
-from .manifold import _PCG_RTOL, DiscreteManifold, _apply, _check_field, _quotient, _solve
+from .manifold import (
+    _PCG_RTOL,
+    DiscreteManifold,
+    _apply,
+    _check_field,
+    _quotient,
+    _solve,
+    _sum,
+)
 
 __all__ = [
     "FlowState",
@@ -112,7 +127,9 @@ class FlowState:
 
     norm_err is the pre-projection constraint drift of the step that
     produced this state (0 for initial states); it is carried here so the
-    run loop can log it without re-deriving the un-projected field.
+    run loop can log it without re-deriving the un-projected field.  The
+    explicit kernels also take a stack of B states: u of shape (B, N), and t,
+    step, r and norm_err as (B, 1) columns.
     """
 
     u: np.ndarray
@@ -206,18 +223,36 @@ def _curvature(
     return u ** (-p) * _apply(man, u, psi, c)
 
 
-def _integral(mass: np.ndarray, u: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    """(\\int u^{p+1} dv, u^{p+1}); zero or non-finite raises ZeroDenominator."""
+def _per_field(a):
+    """A max or min over the node axis as manifold._sum hands a sum on: a float
+    for one field, a (B, 1) column for a stack."""
+    return float(a) if a.ndim == 0 else a[:, None]
+
+
+def _every(ok) -> bool:
+    """A check of one field (a bool), or of every row of a stack (a column)."""
+    return ok if ok.__class__ is bool else all(ok.ravel().tolist())
+
+
+def _integral(mass: np.ndarray, u: np.ndarray, p: float):
+    """(\\int u^{p+1} dv, u^{p+1}); for one field, zero or non-finite raises
+    ZeroDenominator.  A stack is checked by _settle's drift test instead: a
+    bad integral at any pass of _project leaves the last one 0, inf or NaN."""
     upw = u ** (p + 1.0)
-    s = float(np.dot(mass, upw))
-    if s == 0 or not math.isfinite(s):
+    s = _sum(upw, mass)
+    if isinstance(s, float) and not 0 < abs(s) < math.inf:  # NaN fails too
         raise ZeroDenominator(f"constraint integral is {s}")
     return s, upw
 
 
-def _project(
-    mass: np.ndarray, u: np.ndarray, u_min: float, p: float
-) -> tuple[np.ndarray, float, np.ndarray, float, float]:
+def _root(s: np.ndarray, e: float) -> np.ndarray:
+    """s**e of a column row by row, by the C library's pow as for one field's
+    float: numpy's vector power differs from it in the last bit on about 1%
+    of inputs."""
+    return np.array([x**e for x in s.ravel().tolist()])[:, None]
+
+
+def _project(mass: np.ndarray, u: np.ndarray, u_min, p: float):
     """Scale u onto \\int u^{p+1} dv = 1 in two passes, carrying u_min = u.min().
 
     The second pass removes the O(eps) residue the rounded (p+1)-th root
@@ -227,22 +262,21 @@ def _project(
     s, upw = _integral(mass, u, p)
     before = s
     for _ in range(2):
-        k = s**e
+        k = s**e if isinstance(s, float) else _root(s, e)
         u = u / k
         u_min = u_min / k  # rounding is monotone, so this is exactly u.min()
         s, upw = _integral(mass, u, p)
     return u, u_min, upw, before, s
 
 
-def _diagnose(
-    man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, c: float, p: float, r: float,
-    upw: np.ndarray,
-) -> tuple[np.ndarray, float, float]:
+def _diagnose(man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, c: float, p: float, r,
+              upw: np.ndarray):
     """R, f = \\int (R - r)^2 u^{p+1} dv and the stationarity residual
     max |u^p (R - r)|, given upw = u^{p+1}."""
     R = _curvature(man, u, psi, c, p)
     dev = R - r
-    return R, float(np.dot(man.mass, dev * dev * upw)), float(np.abs(upw / u * dev).max())
+    return (R, _sum(dev * dev * upw, man.mass),
+            _per_field(np.abs(upw / u * dev).max(axis=-1)))
 
 
 def pseudo_scalar_curvature(
@@ -304,19 +338,21 @@ def _settle(
 
     Checks the update once and forms u^{p+1} once per projection pass.
     Returns (state, u^{p+1}, u.min()); the middle one is what _diagnose
-    needs.
+    needs.  A stack of states (see FlowState) settles row by row; a row
+    that fails a check fails the whole stack, whose message quotes the
+    stack's least dt or largest drift.
     """
-    m = float(unew.min())
-    if m <= 0.0:
-        raise StepRejectedPositivity(f"{scheme} step dt={dt:.3e} lost positivity")
-    if math.isnan(m):
-        raise NonPositiveField("u must be strictly positive everywhere")
+    m = _per_field(unew.min(axis=-1))
+    if not _every(m > 0.0):
+        if not _every(m == m):
+            raise NonPositiveField("u must be strictly positive everywhere")
+        raise StepRejectedPositivity(f"{scheme} step dt={np.min(dt):.3e} lost positivity")
     u, u_min, upw, before, s = _project(man.mass, unew, m, state.p)
     drift = s - 1.0
-    if abs(drift) > 1e-13:
-        raise CurvFlowError(f"projection left constraint drift {drift:.3e}")
+    if not _every(abs(drift) <= 1e-13):
+        raise CurvFlowError(f"projection left constraint drift {np.max(drift):.3e}")
     r = _quotient(man, u, psi, state.c, s)
-    return FlowState(u=u, t=float(state.t + dt), step=state.step + 1, p=state.p, c=state.c,
+    return FlowState(u=u, t=state.t + dt, step=state.step + 1, p=state.p, c=state.c,
                      r=r, norm_err=before - 1.0), upw, u_min
 
 
@@ -337,7 +373,7 @@ def step_explicit(
     """One explicit Euler step followed by projection onto the constraint."""
     psi = _check_field(man, psi, "psi")
     R = _curvature(man, _positive_field(man, state.u), psi, state.c, state.p)
-    return _explicit_update(man, psi, state, dt, R)[0]
+    return _explicit_update(man, psi, state, float(dt), R)[0]
 
 
 def _imex_update(
@@ -396,7 +432,7 @@ def step_imex(
     """
     psi = _check_field(man, psi, "psi")
     _positive_field(man, state.u)
-    return _imex_update(man, psi, state, dt)[0]
+    return _imex_update(man, psi, state, float(dt))[0]
 
 
 def _stable_dt(
@@ -453,7 +489,7 @@ def _fit_decay_rate(trace: Sequence[TraceRecord], psi: np.ndarray) -> float | No
 
 
 class _Stepper:
-    """run_flow's stepper for _drive; the scheme is picked once, here.  The
+    """run_flow's stepper for the run loop; the scheme is picked once, here.  The
     explicit step reuses the u_min and R that the trace row also shows.
     The first graze of the shifted-curvature bound is a warning, later ones
     are debug lines, so a grazing run does not flood stderr."""
@@ -461,9 +497,10 @@ class _Stepper:
     def __init__(self, man: DiscreteManifold, psi: np.ndarray, state: FlowState,
                  upw: np.ndarray, u_min: float, cfg: FlowConfig):
         self.man, self.psi = man, psi
-        self._enter(state, upw, u_min)
-        self.sigma = sigma_shift(self.R)
+        R, f, res = _diagnose(man, psi, state.u, state.c, state.p, state.r, upw)
+        self.sigma = sigma_shift(R)  # min R + sigma >= 1 here, so _enter logs no graze
         self._graze_level = logging.WARNING
+        self._enter(state, u_min, R, f, res)
         p, c = state.p, state.c
         if cfg.scheme == "imex":
             self._update = lambda st, dt, R: _imex_update(man, psi, st, dt)
@@ -472,20 +509,15 @@ class _Stepper:
             self._update = lambda st, dt, R: _explicit_update(man, psi, st, dt, R)
             self._dt = lambda u_min: _stable_dt(man, u_min, p, c, cfg.safety, cfg.dt0)
 
-    def _enter(self, state: FlowState, upw: np.ndarray, u_min: float) -> None:
+    def _enter(self, state: FlowState, u_min: float, R: np.ndarray, f: float, res: float,
+               extremes: tuple | None = None) -> None:
+        """Take state as the current one; extremes are (min R, max u, max R)
+        when the caller has them already."""
+        if not (f < math.inf and res < math.inf):  # NaN fails too
+            raise CurvFlowError(f"f = {f}, res = {res}: not finite at step {state.step}")
         self.state, self.t, self.step, self.u_min = state, state.t, state.step, u_min
-        self.R, self.f, self.res = _diagnose(self.man, self.psi, state.u, state.c, state.p,
-                                             state.r, upw)
-        if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
-            raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")
-        self.R_min = float(self.R.min())
-
-    def dt(self) -> float:
-        return self._dt(self.u_min)
-
-    def advance(self, dt: float) -> None:
-        # a rejected step raises inside _update, before any attribute changes
-        self._enter(*self._update(self.state, dt, self.R))
+        self.R, self.f, self.res, self._extremes = R, f, res, extremes
+        self.R_min = float(R.min()) if extremes is None else extremes[0]
         sigma = self.sigma
         if self.R_min + sigma < 1.0 - 1e-6 * sigma:
             log.log(
@@ -495,8 +527,18 @@ class _Stepper:
             )
             self._graze_level = logging.DEBUG
 
+    def dt(self) -> float:
+        return self._dt(self.u_min)
+
+    def advance(self, dt: float) -> None:
+        # a rejected step raises inside _update, before any attribute changes
+        state, upw, u_min = self._update(self.state, dt, self.R)
+        self._enter(state, u_min,
+                    *_diagnose(self.man, self.psi, state.u, state.c, state.p, state.r, upw))
+
     def record(self, dt: float) -> TraceRecord:
         state = self.state
+        _, u_max, R_max = self._extremes or (None, float(state.u.max()), float(self.R.max()))
         return TraceRecord(
             step=state.step,
             t=state.t,
@@ -504,22 +546,59 @@ class _Stepper:
             r=state.r,
             norm_err=state.norm_err,
             u_min=self.u_min,
-            u_max=float(state.u.max()),
+            u_max=u_max,
             f=self.f,
             R_min=self.R_min,
-            R_max=float(self.R.max()),
+            R_max=R_max,
             res_linf=self.res,
         )
 
 
-def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
-    """The run loop: step until converged, out of budget, or out of halvings.
+class _Together:
+    """Explicit steps of several _Steppers on one manifold, psi, p and c as
+    one (B, N) stack.  Called with the steppers and their dts, it returns each
+    stepper's move, which does what advance(dt) would, bit for bit.  It
+    changes no stepper: if any row fails, it raises, and _drive_all advances
+    the runs one by one instead.  When every stepper took its move of the last
+    call, their states are rows of that call's stack, which is reused."""
 
-    Returns (trace, stop).  The stepper exposes t, step, f and res of its
-    current state, dt(), advance(dt), which raises StepRejectedPositivity
-    and keeps its state when dt is too large, and record(dt), the trace row
-    of its current state.  Rows are kept for step 0, every trace_every-th
-    step and the final state.
+    def __init__(self):
+        self._last = (), None, None  # the states the last call made, their stack and R
+
+    def __call__(self, steppers: list[_Stepper], dts: list[float]) -> list:
+        first = steppers[0]
+        man, psi, p, c = first.man, first.psi, first.state.p, first.state.c
+
+        def column(values):
+            return np.array(values)[:, None]
+
+        made, stack, R = self._last
+        if len(made) != len(steppers) or any(a is not s.state for a, s in zip(made, steppers)):
+            stack = FlowState(u=np.array([s.state.u for s in steppers]),
+                              t=column([s.t for s in steppers]),
+                              step=column([s.step for s in steppers]), p=p, c=c,
+                              r=column([s.state.r for s in steppers]))
+            R = np.array([s.R for s in steppers])
+        new, upw, u_min = _explicit_update(man, psi, stack, column(dts), R)
+        R, f, res = _diagnose(man, psi, new.u, c, p, new.r, upw)
+        rows = zip(new.u, R, *(a.ravel().tolist() for a in
+                               (new.t, new.step, new.r, new.norm_err, u_min, f, res)),
+                   R.min(axis=1).tolist(), new.u.max(axis=1).tolist(), R.max(axis=1).tolist())
+        moves = [(FlowState(u=u, t=t, step=k, p=p, c=c, r=r, norm_err=err), m, Rj, fj, rj, ext)
+                 for u, Rj, t, k, r, err, m, fj, rj, *ext in rows]
+        self._last = [move[0] for move in moves], new, R
+        return [functools.partial(s._enter, *move) for s, move in zip(steppers, moves)]
+
+
+def _loop(cfg: FlowConfig, stepper):
+    """The run loop of one run: step until converged, out of budget, or out of halvings.
+
+    A generator: it yields each dt it wants the stepper advanced by, and is
+    sent True once the stepper has taken that step, False when the step was
+    rejected and the stepper kept its state.  It returns (trace, stop).  The
+    stepper exposes t, step, f and res of its current state, dt(), and
+    record(dt), the trace row of its current state.  Rows are kept for step
+    0, every trace_every-th step and the final state.
     """
     trace = [stepper.record(0.0)]
     last_dt = 0.0
@@ -538,11 +617,9 @@ def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
         if remaining <= dt * (1.0 + _SLIVER):
             dt = remaining
         for _ in range(_MAX_HALVINGS + 1):
-            try:
-                stepper.advance(dt)
+            if (yield dt):
                 break
-            except StepRejectedPositivity:
-                dt *= 0.5
+            dt *= 0.5
         else:
             stop = STOP_POSITIVITY
             break
@@ -553,6 +630,104 @@ def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
     if trace[-1].step != stepper.step:
         trace.append(stepper.record(last_dt))
     return trace, stop
+
+
+def _drive_all(cfg: FlowConfig, steppers: list, together=None):
+    """Run _loop on every stepper at once; yield each (trace, stop) in order.
+
+    Each round sends every live loop the outcome of its last attempt and
+    gathers the dt it asks for next, then advances the runs: through
+    together(steppers, dts), which returns each stepper's move, when it is
+    given and more than one run asks, and through each stepper's advance(dt)
+    otherwise, or when together raises CurvFlowError.  advance (or the move)
+    raises StepRejectedPositivity, and keeps the stepper's state, when dt is
+    too large.  Runs leave as they stop; a run that raises another
+    CurvFlowError leaves too, and its error is raised in its turn.  An entry
+    of steppers may already be such an error.
+    """
+    done = {i: s for i, s in enumerate(steppers) if isinstance(s, CurvFlowError)}
+    loops = {i: _loop(cfg, s) for i, s in enumerate(steppers) if i not in done}
+    outcome = dict.fromkeys(loops)  # what each live loop is sent next; None starts it
+    for i in range(len(steppers)):
+        while i not in done:
+            asks = {}
+            for j, ok in outcome.items():
+                try:
+                    asks[j] = loops[j].send(ok)
+                except StopIteration as end:
+                    done[j] = end.value
+                except CurvFlowError as exc:
+                    done[j] = exc
+            outcome, moves = {}, None
+            if together is not None and len(asks) > 1:
+                try:
+                    moves = together([steppers[j] for j in asks], list(asks.values()))
+                except CurvFlowError:
+                    pass
+            for k, (j, dt) in enumerate(asks.items()):
+                try:
+                    if moves:
+                        moves[k]()
+                    else:
+                        steppers[j].advance(dt)
+                    outcome[j] = True
+                except StepRejectedPositivity:
+                    outcome[j] = False
+                except CurvFlowError as exc:
+                    done[j] = exc
+        out = done.pop(i)
+        if isinstance(out, CurvFlowError):
+            raise out
+        yield out
+
+
+def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
+    """Run one stepper to its stop; returns (trace, stop).  Besides what _loop
+    reads, the stepper exposes advance(dt), which raises
+    StepRejectedPositivity and keeps its state when dt is too large."""
+    return next(_drive_all(cfg, [stepper]))
+
+
+def _start(man: DiscreteManifold, psi: np.ndarray, u0: np.ndarray, cfg: FlowConfig) -> _Stepper:
+    """run_flow's stepper at u0 normalized; psi is checked already."""
+    u0 = _positive_field(man, u0)
+    # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
+    u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), cfg.p)
+    if u_min < 1e-10:
+        raise IllConditionedInitialData(f"normalized initial field has min {u_min:.3e} < 1e-10")
+    state = FlowState(u=u, t=0.0, step=0, p=float(cfg.p), c=float(cfg.c),
+                      r=_quotient(man, u, psi, cfg.c, s))
+    return _Stepper(man, psi, state, upw, u_min, cfg)
+
+
+def _runs(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
+    """run_flow from each of u0s, all advanced together; yields each FlowResult
+    in order, or raises what its run raised, in its turn.  Explicit steps of
+    the live runs go as one (B, N) stack, imex runs step one at a time; every
+    result equals its own run_flow bit for bit."""
+    cfg.validate()
+    psi = _check_field(man, psi, "psi")
+    # overflow surfaces as a non-finite integral, f or residual, each of
+    # which raises; one context for the runs' arithmetic, not one per kernel
+    # call, and none held while a result is out with the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        steppers = []
+        for u0 in u0s:
+            try:
+                steppers.append(_start(man, psi, u0, cfg))
+            except CurvFlowError as exc:
+                steppers.append(exc)
+    runs = _drive_all(cfg, steppers, _Together() if cfg.scheme == "explicit" else None)
+    for stepper in steppers:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, stop = next(runs)
+        yield FlowResult(
+            final=stepper.state,
+            trace=trace,
+            stop=stop,
+            r_infinity=stepper.state.r,
+            decay_rate=_fit_decay_rate(trace, psi),
+        )
 
 
 def run_flow(
@@ -569,28 +744,7 @@ def run_flow(
     halvings ends the run with stop = "PositivityFailure" (the partial
     trace is still returned).
     """
-    cfg.validate()
-    psi = _check_field(man, psi, "psi")
-    u0 = _positive_field(man, u0)
-    # overflow surfaces as a non-finite integral, f or residual, each of
-    # which raises; one context for the run, not one per kernel call
-    with np.errstate(over="ignore", invalid="ignore"):
-        # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
-        u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), cfg.p)
-        if u_min < 1e-10:
-            raise IllConditionedInitialData(
-                f"normalized initial field has min {u_min:.3e} < 1e-10")
-        state = FlowState(u=u, t=0.0, step=0, p=float(cfg.p), c=float(cfg.c),
-                          r=_quotient(man, u, psi, cfg.c, s))
-        stepper = _Stepper(man, psi, state, upw, u_min, cfg)
-        trace, stop = _drive(cfg, stepper)
-    return FlowResult(
-        final=stepper.state,
-        trace=trace,
-        stop=stop,
-        r_infinity=stepper.state.r,
-        decay_rate=_fit_decay_rate(trace, psi),
-    )
+    return next(_runs(man, psi, [u0], cfg))
 
 
 def write_trace_csv(trace: Iterable[TraceRecord], fh: IO[str]) -> None:

@@ -16,8 +16,11 @@ residual are its edge-form quotient and strong form.  The energy
 
 is zero-homogeneous; its infimum over positive fields shares the sign of
 lambda1.  relax_many relaxes seeded log-normal random fields with the
-flow and yields each final energy; estimate_Y brackets the infimum from
-above by the least of them.  The estimate is an upper bound by
+flow, all starts advancing together, and yields each result and final
+energy in start order; estimate_Y brackets the infimum from above by the
+least of them, and raises at the first start that loses positivity, when
+the later starts have already run alongside it.  Field memory grows with
+the number of starts.  The estimate is an upper bound by
 construction, which is why the CLI labels it Y_psi_upper.
 """
 
@@ -136,7 +139,11 @@ def lognormal_field(man: DiscreteManifold, seed) -> np.ndarray:
         helm = (sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc()
     if not np.all(np.isfinite(helm.data)):
         raise CurvFlowError(f"smoother M + ell^2 S overflows at correlation length {ell:.3g}")
-    helm = splu(helm)  # one factorization serves both passes
+    try:
+        helm = splu(helm)  # one factorization serves both passes
+    except RuntimeError as exc:  # rows of ell^2 S that cancel to 0 next to M
+        raise CurvFlowError(f"smoother M + ell^2 S is singular at correlation length "
+                            f"{ell:.3g}: {exc}") from exc
     g = white
     for _ in range(2):
         g = helm.solve(man.mass * g)
@@ -153,11 +160,17 @@ def relax_many(
     n_starts: int,
     seed: int = 0,
 ) -> Iterator[tuple[flowmod.FlowResult, float]]:
-    """Relax n_starts seeded log-normal fields with the flow, one at a time
-    as the caller pulls them; yield (FlowResult, E of its final field).
+    """Relax n_starts seeded log-normal fields with the flow, all together,
+    and yield (FlowResult, E of its final field) for each start in order.
 
-    Start i draws from substream (seed, i), so results are reproducible and
-    independent of batch order.  Every start is yielded, whatever its stop;
+    Nothing runs before the first start is pulled.  Then the starts advance
+    side by side (explicit steps as one stack, imex steps one start at a
+    time) and leave as they stop; start i is yielded once it and every
+    earlier start have stopped, so the later ones may have run already.
+    Each result equals run_flow from that start alone, bit for bit, and the
+    fields of all n_starts runs are held at once.  Start i draws from
+    substream (seed, i), so results are reproducible.  Every start is
+    yielded, whatever its stop; a start whose run raises raises in its turn.
     E uses cfg's p and c, the ones the flow ran with.
     """
     if n_starts < 1:
@@ -165,9 +178,8 @@ def relax_many(
     psi = np.asarray(psi, dtype=float)
 
     def starts():  # nested, so n_starts is checked before any start is pulled
-        for i in range(n_starts):
-            # through the module attribute, so a patched run_flow sees each start
-            result = flowmod.run_flow(man, psi, lognormal_field(man, (seed, i)), cfg)
+        fields = [lognormal_field(man, (seed, i)) for i in range(n_starts)]
+        for result in flowmod._runs(man, psi, fields, cfg):
             yield result, energy_E(man, result.final.u, psi, cfg.c, cfg.p)
 
     return starts()
@@ -189,7 +201,8 @@ def estimate_Y(
     Runs that merely hit the time or step budget still count (any positive
     field bounds inf E).  A positivity failure aborts at the first failing
     start: its last field is positive too, but cfg could not relax it, and
-    its energy would weaken the estimate without a word.
+    its energy would weaken the estimate without a word.  The later starts
+    have run alongside it by then (see relax_many).
     """
     if cfg is None:
         cfg = flowmod.FlowConfig(scheme="imex", dt0=1e-3, t_max=200.0, p=p, c=c)

@@ -277,6 +277,9 @@ BAD_INPUTS = {
     "torus-step-inverse-overflow": lambda tmp: ("eigen", "--torus", "4:1e-310", "--psi", "1"),
     "torus-weight-overflow": lambda tmp: ("eigen", "--torus", "3:3e-300,3:3e300", "--psi", "1"),
     "torus-smoother-overflow": lambda tmp: ("run", "--torus", "8:1e200", "--psi", "-1"),
+    # M + ell^2 S is finite, but its short-side rows cancel to 0: SuperLU finds it singular
+    "torus-smoother-singular": lambda tmp: ("run", "--torus", "3:1e50,3:1e-50", "--psi", "-1"),
+    "sweep-smoother-singular": lambda tmp: ("sweep", "--torus", "3:1e50,3:1e-50", "--psi", "-1"),
 }
 
 
@@ -286,7 +289,9 @@ BAD_INPUT_NAMES = {"tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
                    "psi-overflow-f": "f = inf", "psi-deep-parens": "nests too deeply",
                    "psi-deep-minus": "nests too deeply", "torus-step-zero": "N/L",
                    "torus-step-inverse-overflow": "N/L", "torus-weight-overflow": "stiffness",
-                   "torus-smoother-overflow": "ell^2"}
+                   "torus-smoother-overflow": "ell^2",
+                   "torus-smoother-singular": "correlation length",
+                   "sweep-smoother-singular": "correlation length"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

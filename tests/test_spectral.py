@@ -8,11 +8,18 @@ from curvflow import flow as flowmod
 from curvflow.errors import (
     ConfigError,
     CurvFlowError,
+    IllConditionedInitialData,
     InvalidDimension,
     SizeMismatch,
     ZeroDenominator,
 )
-from curvflow.flow import STOP_POSITIVITY, FlowConfig
+from curvflow.flow import (
+    STOP_CONVERGED,
+    STOP_MAX_STEPS,
+    STOP_POSITIVITY,
+    STOP_TMAX,
+    FlowConfig,
+)
 from curvflow.manifold import integrate
 from curvflow.spectral import (
     _AMPLITUDE,
@@ -164,26 +171,93 @@ def test_estimate_Y_rejects_cfg_with_other_p_or_c(circle64):
             estimate_Y(circle64, -np.ones(64), 1.0, 3.0, n_starts=1, cfg=cfg)
 
 
+def _bits(values):
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_same_run(got, want):
+    rows = [[getattr(rec, name) for name in flowmod._TRACE_FIELDS] for rec in got.trace]
+    want_rows = [[getattr(rec, name) for name in flowmod._TRACE_FIELDS] for rec in want.trace]
+    assert np.array_equal(_bits(rows), _bits(want_rows))
+    assert np.array_equal(_bits(got.final.u), _bits(want.final.u))
+    assert got.stop == want.stop
+    assert _bits(got.r_infinity) == _bits(want.r_infinity)
+    assert got.decay_rate == want.decay_rate  # None, or a float fitted from equal traces
+
+
+def _assert_solo_runs(man, psi, cfg, n_starts, seed):
+    """relax_many's results and energies equal run_flow's from each start alone."""
+    pairs = list(relax_many(man, psi, cfg, n_starts, seed=seed))
+    assert len(pairs) == n_starts
+    for i, (res, E) in enumerate(pairs):
+        solo = flowmod.run_flow(man, psi, lognormal_field(man, (seed, i)), cfg)
+        _assert_same_run(res, solo)
+        assert _bits(E) == _bits(energy_E(man, solo.final.u, psi, cfg.c, cfg.p))
+    return [res for res, _ in pairs]
+
+
 def test_relax_many_yields_each_start_in_order(circle64, monkeypatch):
     psi = np.cos(circle64.coordinates[:, 0])
     cfg = FlowConfig(scheme="imex", dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
-    # every start goes through the module's run_flow, so a patched one sees it
-    seen = []
-    inner = flowmod.run_flow
+    started = []
+    inner = flowmod._start
 
     def watched(*args):
-        seen.append(inner(*args))
-        return seen[-1]
+        started.append(args[2])
+        return inner(*args)
 
-    monkeypatch.setattr(flowmod, "run_flow", watched)
+    monkeypatch.setattr(flowmod, "_start", watched)
     starts = relax_many(circle64, psi, cfg, 2, seed=3)
-    assert seen == []  # nothing runs before the first start is pulled
-    pairs = list(starts)
-    assert len(seen) == 2 and all(res is s for (res, _), s in zip(pairs, seen))
-    for i, (res, E) in enumerate(pairs):
-        solo = inner(circle64, psi, lognormal_field(circle64, (3, i)), cfg)
-        np.testing.assert_array_equal(res.final.u, solo.final.u)
-        assert E == energy_E(circle64, solo.final.u, psi, 0.7, 2.5)
+    assert started == []  # nothing runs before the first start is pulled
+    next(starts)
+    assert len(started) == 2  # then every start runs
+    monkeypatch.undo()
+    _assert_solo_runs(circle64, psi, cfg, 2, seed=3)
+
+
+# Starts that leave the batch at different steps, for different reasons:
+# max_steps between their step counts (MaxSteps and Converged), a t_max
+# between their times to convergence (TmaxReached and Converged), and steps
+# far too large (explicit: halvings, then PositivityFailure at 48-98 steps;
+# imex: Newton matrices that are not SPD, halved until they are, so every
+# start ends at t_max after the same 36 steps).
+MIXED = {
+    "explicit-max-steps": (-1.0, FlowConfig(tol_f=1e-12, tol_res=1e-7, max_steps=4845),
+                           {STOP_CONVERGED, STOP_MAX_STEPS}),
+    "explicit-t-max": (-1.0, FlowConfig(tol_f=1e-12, tol_res=1e-7, t_max=2.118),
+                       {STOP_CONVERGED, STOP_TMAX}),
+    "explicit-doomed": (-1.0, FlowConfig(dt0=10.0, safety=50.0, t_max=10.0),
+                        {STOP_POSITIVITY}),
+    "imex-max-steps": ("cos", FlowConfig(scheme="imex", tol_f=1e-12, tol_res=1e-7,
+                                         max_steps=325), {STOP_CONVERGED, STOP_MAX_STEPS}),
+    "imex-t-max": ("cos", FlowConfig(scheme="imex", tol_f=1e-12, tol_res=1e-7, t_max=3.25),
+                   {STOP_CONVERGED, STOP_TMAX}),
+    "imex-doomed": (-1.0, FlowConfig(scheme="imex", dt0=10.0, t_max=10.0), {STOP_TMAX}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED))
+def test_relax_many_equals_solo_runs_as_starts_leave(case, circle64):
+    a, cfg, stops = MIXED[case]
+    psi = np.cos(circle64.coordinates[:, 0]) if a == "cos" else a * np.ones(64)
+    results = _assert_solo_runs(circle64, psi, cfg, 4, seed=0)
+    assert {res.stop for res in results} == stops
+    if case == "imex-doomed":  # all stop at t_max after 36 steps, the first one halved
+        assert all(res.trace[1].dt < cfg.dt0 for res in results)
+    else:
+        assert len({res.final.step for res in results}) > 1
+
+
+def test_a_start_that_raises_raises_in_its_turn(circle64):
+    psi = -np.ones(64)
+    good = lognormal_field(circle64, 1)
+    flat = good.copy()
+    flat[3] = 1e-12  # normalizes to a min below 1e-10
+    runs = flowmod._runs(circle64, psi, [good, flat, good], LEAN)
+    _assert_same_run(next(runs), flowmod.run_flow(circle64, psi, good, LEAN))
+    with pytest.raises(IllConditionedInitialData):
+        next(runs)
 
 
 def test_positivity_failure_is_yielded_by_relax_many_and_aborts_estimate_Y(circle64):
