@@ -20,10 +20,12 @@ along exact trajectories) and the stationarity residual in max norm.
 
 _loop is the package's one run loop: it owns stopping, budgets, dt halving
 and thinning for one run, as a generator that asks for each dt it wants
-tried.  _drive_all runs several loops at once and yields their results in
-order; run_flow and gauss.run_gauss_flow (through _drive) run one, and
-spectral.relax_many runs one per start, the explicit steps of all live
-starts taken as one (B, N) stack.  Every run equals its solo run bit for bit.
+tried.  _drive_all runs several loops and yields their results in order;
+run_flow and gauss.run_gauss_flow (through _drive) run one.
+spectral.relax_many runs three or more explicit starts as one batch
+(_batch), whose steps go as one (B, N) stack while three or more starts are
+live, and still takes each start's result through run_flow.  Every run
+equals its solo run bit for bit.
 
 Each formula of the flow is written once, as a private kernel on arrays
 that are already validated: R (_curvature), the checked constraint
@@ -50,7 +52,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,6 +114,9 @@ _MAX_HALVINGS = 40
 # a time left within this fraction of dt past one step (the rounding of the
 # clock) joins that step instead of becoming a step of its own
 _SLIVER = 1e-6
+# the fewest live explicit runs stepped as one (B, N) stack: at N = 128 a
+# stack of two takes longer than two solo steps, a stack of three less
+_TOGETHER_MIN = 3
 
 
 def default_c(n: int) -> float:
@@ -633,48 +638,56 @@ def _loop(cfg: FlowConfig, stepper):
 
 
 def _drive_all(cfg: FlowConfig, steppers: list, together=None):
-    """Run _loop on every stepper at once; yield each (trace, stop) in order.
+    """Run _loop on every stepper; yield each (trace, stop) in order.
 
-    Each round sends every live loop the outcome of its last attempt and
-    gathers the dt it asks for next, then advances the runs: through
-    together(steppers, dts), which returns each stepper's move, when it is
-    given and more than one run asks, and through each stepper's advance(dt)
-    otherwise, or when together raises CurvFlowError.  advance (or the move)
-    raises StepRejectedPositivity, and keeps the stepper's state, when dt is
-    too large.  Runs leave as they stop; a run that raises another
-    CurvFlowError leaves too, and its error is raised in its turn.  An entry
-    of steppers may already be such an error.
+    Each round advances runs by the dt their loops asked for.  While
+    together is given and at least _TOGETHER_MIN runs are live, the round is
+    every live run, stepped through together(steppers, dts), which returns
+    each stepper's move; otherwise the round is the run awaited next, alone,
+    so the runs step in sequence.  When together raises CurvFlowError, the
+    round's runs advance one by one through advance(dt) instead.  advance
+    (or the move) raises StepRejectedPositivity, and keeps the stepper's
+    state, when dt is too large.  Runs leave as they stop; a run that raises
+    another CurvFlowError leaves too, and its error is raised in its turn.
+    An entry of steppers may already be such an error.
     """
     done = {i: s for i, s in enumerate(steppers) if isinstance(s, CurvFlowError)}
     loops = {i: _loop(cfg, s) for i, s in enumerate(steppers) if i not in done}
-    outcome = dict.fromkeys(loops)  # what each live loop is sent next; None starts it
+    asks = {}  # the dt each live loop asks for
+
+    def send(j, ok):
+        try:
+            asks[j] = loops[j].send(ok)
+        except StopIteration as end:
+            done[j] = end.value
+        except CurvFlowError as exc:
+            done[j] = exc
+
+    for j in loops:
+        send(j, None)
     for i in range(len(steppers)):
         while i not in done:
-            asks = {}
-            for j, ok in outcome.items():
+            batch = together is not None and len(asks) >= _TOGETHER_MIN
+            members = list(asks) if batch else [i]
+            moves = None
+            if batch:
                 try:
-                    asks[j] = loops[j].send(ok)
-                except StopIteration as end:
-                    done[j] = end.value
-                except CurvFlowError as exc:
-                    done[j] = exc
-            outcome, moves = {}, None
-            if together is not None and len(asks) > 1:
-                try:
-                    moves = together([steppers[j] for j in asks], list(asks.values()))
+                    moves = together([steppers[j] for j in members], [asks[j] for j in members])
                 except CurvFlowError:
                     pass
-            for k, (j, dt) in enumerate(asks.items()):
+            for k, j in enumerate(members):
+                dt = asks.pop(j)
                 try:
                     if moves:
                         moves[k]()
                     else:
                         steppers[j].advance(dt)
-                    outcome[j] = True
                 except StepRejectedPositivity:
-                    outcome[j] = False
+                    send(j, False)
                 except CurvFlowError as exc:
                     done[j] = exc
+                else:
+                    send(j, True)
         out = done.pop(i)
         if isinstance(out, CurvFlowError):
             raise out
@@ -701,10 +714,10 @@ def _start(man: DiscreteManifold, psi: np.ndarray, u0: np.ndarray, cfg: FlowConf
 
 
 def _runs(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
-    """run_flow from each of u0s, all advanced together; yields each FlowResult
-    in order, or raises what its run raised, in its turn.  Explicit steps of
-    the live runs go as one (B, N) stack, imex runs step one at a time; every
-    result equals its own run_flow bit for bit."""
+    """run_flow from each of u0s, all through one _drive_all; yields each
+    FlowResult in order, or raises what its run raised, in its turn.  While
+    _TOGETHER_MIN or more explicit runs are live, their steps go as one
+    (B, N) stack; every result equals its own run_flow bit for bit."""
     cfg.validate()
     psi = _check_field(man, psi, "psi")
     # overflow surfaces as a non-finite integral, f or residual, each of
@@ -730,6 +743,25 @@ def _runs(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
         )
 
 
+# The start fields of batches under way (see _batch), by id: run_flow from
+# such a field takes its result from the batch.
+_pending: dict[int, Iterator[FlowResult]] = {}
+
+
+def _batch(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
+    """Run the flow from all of u0s as one batch (_runs) and yield each field
+    in turn.  run_flow from the yielded field, called before the next one is
+    pulled, returns that field's result from the batch, so a caller still
+    runs each start through run_flow and a wrapper of run_flow sees each."""
+    runs = _runs(man, psi, u0s, cfg)
+    for u0 in u0s:
+        _pending[id(u0)] = runs
+        try:
+            yield u0
+        finally:
+            _pending.pop(id(u0), None)
+
+
 def run_flow(
     man: DiscreteManifold,
     psi: np.ndarray,
@@ -742,9 +774,13 @@ def run_flow(
     Steps that lose positivity (or whose imex Newton matrix is not SPD) are
     retried with halved dt up to _MAX_HALVINGS times; exhausting the
     halvings ends the run with stop = "PositivityFailure" (the partial
-    trace is still returned).
+    trace is still returned).  From a start field of a batch (_batch) the
+    result is the batch's, which is the same bit for bit.
     """
-    return next(_runs(man, psi, [u0], cfg))
+    runs = _pending.pop(id(u0), None)
+    if runs is None:
+        runs = _runs(man, psi, [u0], cfg)
+    return next(runs)
 
 
 def write_trace_csv(trace: Iterable[TraceRecord], fh: IO[str]) -> None:

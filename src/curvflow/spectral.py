@@ -16,11 +16,12 @@ residual are its edge-form quotient and strong form.  The energy
 
 is zero-homogeneous; its infimum over positive fields shares the sign of
 lambda1.  relax_many relaxes seeded log-normal random fields with the
-flow, all starts advancing together, and yields each result and final
-energy in start order; estimate_Y brackets the infimum from above by the
-least of them, and raises at the first start that loses positivity, when
-the later starts have already run alongside it.  Field memory grows with
-the number of starts.  The estimate is an upper bound by
+flow and yields each result and final energy in start order; estimate_Y
+brackets the infimum from above by the least of them, and raises at the
+first start that loses positivity.  Three or more explicit starts advance
+together, so the later starts have run alongside the first failing one,
+and the fields of all starts are held at once; imex starts, and one or two
+explicit ones, run one at a time.  The estimate is an upper bound by
 construction, which is why the CLI labels it Y_psi_upper.
 """
 
@@ -160,26 +161,32 @@ def relax_many(
     n_starts: int,
     seed: int = 0,
 ) -> Iterator[tuple[flowmod.FlowResult, float]]:
-    """Relax n_starts seeded log-normal fields with the flow, all together,
-    and yield (FlowResult, E of its final field) for each start in order.
+    """Relax n_starts seeded log-normal fields with the flow and yield
+    (FlowResult, E of its final field) for each start in order.
 
-    Nothing runs before the first start is pulled.  Then the starts advance
-    side by side (explicit steps as one stack, imex steps one start at a
-    time) and leave as they stop; start i is yielded once it and every
-    earlier start have stopped, so the later ones may have run already.
-    Each result equals run_flow from that start alone, bit for bit, and the
-    fields of all n_starts runs are held at once.  Start i draws from
-    substream (seed, i), so results are reproducible.  Every start is
-    yielded, whatever its stop; a start whose run raises raises in its turn.
-    E uses cfg's p and c, the ones the flow ran with.
+    Nothing runs before the first start is pulled.  Imex starts, and one or
+    two explicit ones, then run one at a time as the caller pulls them.
+    Three or more explicit starts advance together as one batch and leave
+    it as they stop (see flow._batch): start i is yielded once it and every
+    earlier start have stopped, so the later ones may have run already, and
+    the fields of all n_starts runs are held at once.  Either way each start
+    goes through flow.run_flow, and each result equals run_flow from that
+    start alone, bit for bit.  Start i draws from substream (seed, i), so
+    results are reproducible.  Every start is yielded, whatever its stop; a
+    start whose run raises raises in its turn.  E uses cfg's p and c, the
+    ones the flow ran with.
     """
     if n_starts < 1:
         raise ConfigError("n_starts must be >= 1")
     psi = np.asarray(psi, dtype=float)
 
     def starts():  # nested, so n_starts is checked before any start is pulled
-        fields = [lognormal_field(man, (seed, i)) for i in range(n_starts)]
-        for result in flowmod._runs(man, psi, fields, cfg):
+        fields = (lognormal_field(man, (seed, i)) for i in range(n_starts))
+        if cfg.scheme == "explicit" and n_starts >= flowmod._TOGETHER_MIN:
+            fields = flowmod._batch(man, psi, list(fields), cfg)
+        for u0 in fields:
+            # through the module attribute, so a patched run_flow sees each start
+            result = flowmod.run_flow(man, psi, u0, cfg)
             yield result, energy_E(man, result.final.u, psi, cfg.c, cfg.p)
 
     return starts()
@@ -201,7 +208,7 @@ def estimate_Y(
     Runs that merely hit the time or step budget still count (any positive
     field bounds inf E).  A positivity failure aborts at the first failing
     start: its last field is positive too, but cfg could not relax it, and
-    its energy would weaken the estimate without a word.  The later starts
+    its energy would weaken the estimate without a word.  Batched starts
     have run alongside it by then (see relax_many).
     """
     if cfg is None:

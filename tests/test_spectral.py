@@ -199,29 +199,33 @@ def _assert_solo_runs(man, psi, cfg, n_starts, seed):
 
 def test_relax_many_yields_each_start_in_order(circle64, monkeypatch):
     psi = np.cos(circle64.coordinates[:, 0])
-    cfg = FlowConfig(scheme="imex", dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
-    started = []
-    inner = flowmod._start
+    inner = flowmod.run_flow
+    # imex starts run one by one, three explicit ones as a batch; every start
+    # goes through the module's run_flow either way, so a patched one sees it
+    for scheme, n_starts in (("imex", 2), ("explicit", 3)):
+        cfg = FlowConfig(scheme=scheme, dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
+        seen = []
 
-    def watched(*args):
-        started.append(args[2])
-        return inner(*args)
+        def watched(*args):
+            seen.append(inner(*args))
+            return seen[-1]
 
-    monkeypatch.setattr(flowmod, "_start", watched)
-    starts = relax_many(circle64, psi, cfg, 2, seed=3)
-    assert started == []  # nothing runs before the first start is pulled
-    next(starts)
-    assert len(started) == 2  # then every start runs
-    monkeypatch.undo()
-    _assert_solo_runs(circle64, psi, cfg, 2, seed=3)
+        monkeypatch.setattr(flowmod, "run_flow", watched)
+        starts = relax_many(circle64, psi, cfg, n_starts, seed=3)
+        assert seen == []  # nothing runs before the first start is pulled
+        pairs = list(starts)
+        assert len(seen) == n_starts and all(res is s for (res, _), s in zip(pairs, seen))
+        monkeypatch.undo()
+        _assert_solo_runs(circle64, psi, cfg, n_starts, seed=3)
 
 
 # Starts that leave the batch at different steps, for different reasons:
 # max_steps between their step counts (MaxSteps and Converged), a t_max
 # between their times to convergence (TmaxReached and Converged), and steps
-# far too large (explicit: halvings, then PositivityFailure at 48-98 steps;
-# imex: Newton matrices that are not SPD, halved until they are, so every
-# start ends at t_max after the same 36 steps).
+# far too large (explicit: halvings, then PositivityFailure at 48-98 steps,
+# the last two starts in sequence; imex: Newton matrices that are not SPD,
+# halved until they are, so every start ends at t_max after the same 36
+# steps).  Imex starts are never stacked: relax_many runs them one by one.
 MIXED = {
     "explicit-max-steps": (-1.0, FlowConfig(tol_f=1e-12, tol_res=1e-7, max_steps=4845),
                            {STOP_CONVERGED, STOP_MAX_STEPS}),
@@ -238,10 +242,20 @@ MIXED = {
 
 
 @pytest.mark.parametrize("case", sorted(MIXED))
-def test_relax_many_equals_solo_runs_as_starts_leave(case, circle64):
+def test_relax_many_equals_solo_runs_as_starts_leave(case, circle64, monkeypatch):
     a, cfg, stops = MIXED[case]
     psi = np.cos(circle64.coordinates[:, 0]) if a == "cos" else a * np.ones(64)
+    stacked = []  # the number of runs in each stacked round
+    inner = flowmod._Together.__call__
+
+    def counted(self, steppers, dts):
+        stacked.append(len(steppers))
+        return inner(self, steppers, dts)
+
+    monkeypatch.setattr(flowmod._Together, "__call__", counted)
     results = _assert_solo_runs(circle64, psi, cfg, 4, seed=0)
+    # explicit: stacks of all four, then three; fewer run in sequence
+    assert set(stacked) == ({3, 4} if cfg.scheme == "explicit" else set())
     assert {res.stop for res in results} == stops
     if case == "imex-doomed":  # all stop at t_max after 36 steps, the first one halved
         assert all(res.trace[1].dt < cfg.dt0 for res in results)
@@ -258,6 +272,17 @@ def test_a_start_that_raises_raises_in_its_turn(circle64):
     _assert_same_run(next(runs), flowmod.run_flow(circle64, psi, good, LEAN))
     with pytest.raises(IllConditionedInitialData):
         next(runs)
+
+
+def test_run_flow_between_batched_starts_runs_alone(circle64):
+    psi = -np.ones(64)
+    cfg = FlowConfig(t_max=0.5)
+    starts = relax_many(circle64, psi, cfg, 3, seed=1)
+    first, _ = next(starts)
+    # a caller's own run_flow while the batch is out is not taken from it
+    _assert_same_run(first, flowmod.run_flow(circle64, psi, lognormal_field(circle64, (1, 0)), cfg))
+    starts.close()
+    assert flowmod._pending == {}
 
 
 def test_positivity_failure_is_yielded_by_relax_many_and_aborts_estimate_Y(circle64):
