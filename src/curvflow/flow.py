@@ -744,7 +744,9 @@ def _runs(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
 
 
 # The start fields of batches under way (see _batch), by id: run_flow from
-# such a field takes its result from the batch.
+# such a field takes its result from the batch.  run_flow's signature is
+# public, so this table is the channel; an entry lives only from the moment
+# _batch yields its field until run_flow takes it or the next one is pulled.
 _pending: dict[int, Iterator[FlowResult]] = {}
 
 
