@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -734,11 +734,14 @@ def _runs(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
     for stepper in steppers:
         with np.errstate(over="ignore", invalid="ignore"):
             trace, stop = next(runs)
+        final = stepper.state
+        if final.u.base is not None:  # a row of a stack: keep the row, not the stack
+            final = replace(final, u=final.u.copy())
         yield FlowResult(
-            final=stepper.state,
+            final=final,
             trace=trace,
             stop=stop,
-            r_infinity=stepper.state.r,
+            r_infinity=final.r,
             decay_rate=_fit_decay_rate(trace, psi),
         )
 

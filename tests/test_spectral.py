@@ -256,6 +256,7 @@ def test_relax_many_equals_solo_runs_as_starts_leave(case, circle64, monkeypatch
     results = _assert_solo_runs(circle64, psi, cfg, 4, seed=0)
     # explicit: stacks of all four, then three; fewer run in sequence
     assert set(stacked) == ({3, 4} if cfg.scheme == "explicit" else set())
+    assert all(res.final.u.base is None for res in results)  # no result holds a stack
     assert {res.stop for res in results} == stops
     if case == "imex-doomed":  # all stop at t_max after 36 steps, the first one halved
         assert all(res.trace[1].dt < cfg.dt0 for res in results)
