@@ -20,12 +20,13 @@ along exact trajectories) and the stationarity residual in max norm.
 
 _loop is the package's one run loop: it owns stopping, budgets, dt halving
 and thinning for one run, as a generator that asks for each dt it wants
-tried.  _drive_all runs several loops and yields their results in order;
-run_flow and gauss.run_gauss_flow (through _drive) run one.
-spectral.relax_many runs three or more explicit starts as one batch
-(_batch), whose steps go as one (B, N) stack while three or more starts are
-live, and still takes each start's result through run_flow.  Every run
-equals its solo run bit for bit.
+tried.  _drive, the one driver, runs a list of loops and yields their
+results in order: run_flow and gauss.run_gauss_flow hand it one run, and
+spectral.relax_many hands it all of its starts as one batch (_batch) and
+still takes each start's result through run_flow.  Explicit runs step as
+one (B, N) stack while three or more are live; imex runs, and explicit ones
+with fewer live, step one at a time in start order.  Every run equals its
+solo run bit for bit.
 
 Each formula of the flow is written once, as a private kernel on arrays
 that are already validated: R (_curvature), the checked constraint
@@ -499,10 +500,18 @@ class _Stepper:
     The first graze of the shifted-curvature bound is a warning, later ones
     are debug lines, so a grazing run does not flood stderr."""
 
-    def __init__(self, man: DiscreteManifold, psi: np.ndarray, state: FlowState,
-                 upw: np.ndarray, u_min: float, cfg: FlowConfig):
+    def __init__(self, man: DiscreteManifold, psi: np.ndarray, u0: np.ndarray,
+                 cfg: FlowConfig):
+        """The stepper at u0 normalized; psi is checked already."""
+        u0 = _positive_field(man, u0)
+        # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
+        u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), cfg.p)
+        if u_min < 1e-10:
+            raise IllConditionedInitialData(f"normalized initial field has min {u_min:.3e} < 1e-10")
+        state = FlowState(u=u, t=0.0, step=0, p=float(cfg.p), c=float(cfg.c),
+                          r=_quotient(man, u, psi, cfg.c, s))
         self.man, self.psi = man, psi
-        R, f, res = _diagnose(man, psi, state.u, state.c, state.p, state.r, upw)
+        R, f, res = _diagnose(man, psi, u, state.c, state.p, state.r, upw)
         self.sigma = sigma_shift(R)  # min R + sigma >= 1 here, so _enter logs no graze
         self._graze_level = logging.WARNING
         self._enter(state, u_min, R, f, res)
@@ -563,7 +572,7 @@ class _Together:
     """Explicit steps of several _Steppers on one manifold, psi, p and c as
     one (B, N) stack.  Called with the steppers and their dts, it returns each
     stepper's move, which does what advance(dt) would, bit for bit.  It
-    changes no stepper: if any row fails, it raises, and _drive_all advances
+    changes no stepper: if any row fails, it raises, and _drive advances
     the runs one by one instead.  When every stepper took its move of the last
     call, their states are rows of that call's stack, which is reused."""
 
@@ -637,7 +646,7 @@ def _loop(cfg: FlowConfig, stepper):
     return trace, stop
 
 
-def _drive_all(cfg: FlowConfig, steppers: list, together=None):
+def _drive(cfg: FlowConfig, steppers: list, together=None):
     """Run _loop on every stepper; yield each (trace, stop) in order.
 
     Each round advances runs by the dt their loops asked for.  While
@@ -694,30 +703,10 @@ def _drive_all(cfg: FlowConfig, steppers: list, together=None):
         yield out
 
 
-def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
-    """Run one stepper to its stop; returns (trace, stop).  Besides what _loop
-    reads, the stepper exposes advance(dt), which raises
-    StepRejectedPositivity and keeps its state when dt is too large."""
-    return next(_drive_all(cfg, [stepper]))
-
-
-def _start(man: DiscreteManifold, psi: np.ndarray, u0: np.ndarray, cfg: FlowConfig) -> _Stepper:
-    """run_flow's stepper at u0 normalized; psi is checked already."""
-    u0 = _positive_field(man, u0)
-    # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
-    u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), cfg.p)
-    if u_min < 1e-10:
-        raise IllConditionedInitialData(f"normalized initial field has min {u_min:.3e} < 1e-10")
-    state = FlowState(u=u, t=0.0, step=0, p=float(cfg.p), c=float(cfg.c),
-                      r=_quotient(man, u, psi, cfg.c, s))
-    return _Stepper(man, psi, state, upw, u_min, cfg)
-
-
 def _runs(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
-    """run_flow from each of u0s, all through one _drive_all; yields each
-    FlowResult in order, or raises what its run raised, in its turn.  While
-    _TOGETHER_MIN or more explicit runs are live, their steps go as one
-    (B, N) stack; every result equals its own run_flow bit for bit."""
+    """run_flow from each of u0s, all through one _drive, which may stack
+    explicit runs only; yields each FlowResult in order, or raises what its
+    run raised, in its turn.  Each equals its own run_flow bit for bit."""
     cfg.validate()
     psi = _check_field(man, psi, "psi")
     # overflow surfaces as a non-finite integral, f or residual, each of
@@ -727,10 +716,10 @@ def _runs(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
         steppers = []
         for u0 in u0s:
             try:
-                steppers.append(_start(man, psi, u0, cfg))
+                steppers.append(_Stepper(man, psi, u0, cfg))
             except CurvFlowError as exc:
                 steppers.append(exc)
-    runs = _drive_all(cfg, steppers, _Together() if cfg.scheme == "explicit" else None)
+    runs = _drive(cfg, steppers, _Together() if cfg.scheme == "explicit" else None)
     for stepper in steppers:
         with np.errstate(over="ignore", invalid="ignore"):
             trace, stop = next(runs)

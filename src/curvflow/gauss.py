@@ -131,7 +131,7 @@ def run_gauss_flow(
         "normalizing term r = (total psi %.6e) / evolving area; this choice "
         "conserves the area integral (start %.6e)", s.psi_total, s.area0,
     )
-    trace, stop = _drive(cfg, s)
+    trace, stop = next(_drive(cfg, [s]))
     # built once from the stepper's plain attributes, not on every step
     final = GaussState(u=s.u, t=s.t, step=s.step, r=s.r)
     return FlowResult(final=final, trace=trace, stop=stop, r_infinity=s.r)

@@ -18,11 +18,12 @@ is zero-homogeneous; its infimum over positive fields shares the sign of
 lambda1.  relax_many relaxes seeded log-normal random fields with the
 flow and yields each result and final energy in start order; estimate_Y
 brackets the infimum from above by the least of them, and raises at the
-first start that loses positivity.  Three or more explicit starts advance
-together, so the later starts have run alongside the first failing one,
-and the fields of all starts are held at once; imex starts, and one or two
-explicit ones, run one at a time.  The estimate is an upper bound by
-construction, which is why the CLI labels it Y_psi_upper.
+first start that loses positivity.  relax_many draws all its start fields
+at the first pull, through one factorization of the smoother, and runs
+them as one batch: explicit starts step as one stack while three or more
+are live; imex starts, and explicit ones with fewer live, step one at a
+time in start order.  The estimate is an upper bound by construction,
+which is why the CLI labels it Y_psi_upper.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def lambda1(man: DiscreteManifold, psi: np.ndarray, c: float = 1.0) -> EigenResu
 
     Residual reported (and tested against _EIG_TOL) is the strong form
     |(-c Lap + psi) u1 - lambda u1|_inf / max(1, |lambda|) with u1
-    normalized to \\int u1^2 dv = 1.
+    normalized to \\int u1^2 dv = 1.  For a constant psi, lambda is within
+    1 ulp of it on circles, and 2-4 ulps at |psi| >= 1e150 on the 32^2 torus.
     """
     psi = _check_field(man, psi, "psi")
     mass = man.mass
@@ -130,28 +132,37 @@ def lognormal_field(man: DiscreteManifold, seed) -> np.ndarray:
     the bounding-box diameter, then standardized against the mass
     weighting.  Deterministic in the seed (tuples make substreams).
     """
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:  # numpy's messages: non-integer, negative
-        raise ConfigError(f"bad seed {seed!r}: {exc}") from exc
-    white = rng.standard_normal(man.node_count)
+    return _lognormal_fields(man, [seed])[0]
+
+
+def _lognormal_fields(man: DiscreteManifold, seeds: list) -> list[np.ndarray]:
+    """lognormal_field of each seed, all through one factorization of the
+    smoother; every seed is checked before the smoother is built."""
+    rngs = []
+    for seed in seeds:
+        try:
+            rngs.append(np.random.default_rng(seed))
+        except (TypeError, ValueError) as exc:  # numpy's messages: non-integer, negative
+            raise ConfigError(f"bad seed {seed!r}: {exc}") from exc
     ell = _CORR_FRACTION * man.bbox_diameter
     with np.errstate(over="ignore", invalid="ignore"):
         helm = (sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc()
     if not np.all(np.isfinite(helm.data)):
         raise CurvFlowError(f"smoother M + ell^2 S overflows at correlation length {ell:.3g}")
     try:
-        helm = splu(helm)  # one factorization serves both passes
+        helm = splu(helm)  # one factorization serves both passes of every field
     except RuntimeError as exc:  # rows of ell^2 S that cancel to 0 next to M
         raise CurvFlowError(f"smoother M + ell^2 S is singular at correlation length "
                             f"{ell:.3g}: {exc}") from exc
-    g = white
-    for _ in range(2):
-        g = helm.solve(man.mass * g)
-    vol = man.volume
-    g = g - integrate(man, g) / vol
-    std = math.sqrt(max(integrate(man, g * g) / vol, 1e-300))
-    return np.exp(_AMPLITUDE * (g / std))
+    vol, fields = man.volume, []
+    for rng in rngs:
+        g = rng.standard_normal(man.node_count)
+        for _ in range(2):
+            g = helm.solve(man.mass * g)
+        g = g - integrate(man, g) / vol
+        std = math.sqrt(max(integrate(man, g * g) / vol, 1e-300))
+        fields.append(np.exp(_AMPLITUDE * (g / std)))
+    return fields
 
 
 def relax_many(
@@ -164,27 +175,25 @@ def relax_many(
     """Relax n_starts seeded log-normal fields with the flow and yield
     (FlowResult, E of its final field) for each start in order.
 
-    Nothing runs before the first start is pulled.  Imex starts, and one or
-    two explicit ones, then run one at a time as the caller pulls them.
-    Three or more explicit starts advance together as one batch and leave
-    it as they stop (see flow._batch): start i is yielded once it and every
-    earlier start have stopped, so the later ones may have run already, and
-    the fields of all n_starts runs are held at once.  Either way each start
-    goes through flow.run_flow, and each result equals run_flow from that
-    start alone, bit for bit.  Start i draws from substream (seed, i), so
-    results are reproducible.  Every start is yielded, whatever its stop; a
-    start whose run raises raises in its turn.  E uses cfg's p and c, the
-    ones the flow ran with.
+    Nothing runs before the first start is pulled.  The first pull draws
+    every start's field, through one factorization of the smoother, and
+    runs them as one batch (see flow._batch): explicit starts step as one
+    stack while three or more are live; imex starts, and explicit ones with
+    fewer live, step one at a time in start order.  Start i is yielded once
+    it and every earlier start have stopped, so later starts may have run
+    already; all n_starts fields are held at once.  Each start goes through
+    flow.run_flow, and its result equals run_flow from that start alone,
+    bit for bit.  Start i draws from substream (seed, i).  Every start is
+    yielded, whatever its stop; a start whose run raises raises in its
+    turn.  E uses cfg's p and c, the ones the flow ran with.
     """
     if n_starts < 1:
         raise ConfigError("n_starts must be >= 1")
     psi = np.asarray(psi, dtype=float)
 
     def starts():  # nested, so n_starts is checked before any start is pulled
-        fields = (lognormal_field(man, (seed, i)) for i in range(n_starts))
-        if cfg.scheme == "explicit" and n_starts >= flowmod._TOGETHER_MIN:
-            fields = flowmod._batch(man, psi, list(fields), cfg)
-        for u0 in fields:
+        fields = _lognormal_fields(man, [(seed, i) for i in range(n_starts)])
+        for u0 in flowmod._batch(man, psi, fields, cfg):
             # through the module attribute, so a patched run_flow sees each start
             result = flowmod.run_flow(man, psi, u0, cfg)
             yield result, energy_E(man, result.final.u, psi, cfg.c, cfg.p)
@@ -208,8 +217,8 @@ def estimate_Y(
     Runs that merely hit the time or step budget still count (any positive
     field bounds inf E).  A positivity failure aborts at the first failing
     start: its last field is positive too, but cfg could not relax it, and
-    its energy would weaken the estimate without a word.  Batched starts
-    have run alongside it by then (see relax_many).
+    its energy would weaken the estimate without a word.  Later explicit
+    starts may have run alongside it by then (see relax_many).
     """
     if cfg is None:
         cfg = flowmod.FlowConfig(scheme="imex", dt0=1e-3, t_max=200.0, p=p, c=c)

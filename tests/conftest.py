@@ -147,3 +147,13 @@ def icosphere4(tmp_path_factory):
     path = tmp_path_factory.mktemp("mesh") / "icosphere4.off"
     write_off(path, verts, faces)
     return load_off_mesh(str(path))
+
+
+@pytest.fixture(scope="session")
+def flat_icosphere3(tmp_path_factory):
+    """icosphere3 with z scaled by 0.3: 184 of its 1,920 edges get negative
+    cotangent weights, the lowest about -0.665."""
+    verts, faces = make_icosphere(3)
+    path = tmp_path_factory.mktemp("mesh") / "flat_icosphere3.off"
+    write_off(path, verts * np.array([1.0, 1.0, 0.3]), faces)
+    return load_off_mesh(str(path))

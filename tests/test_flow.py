@@ -7,9 +7,11 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from curvflow import flow
 from curvflow.cli import preset_manifold, preset_u0
+from curvflow.elliptic import newton_constrained
 from curvflow.errors import (
     ConfigError,
     IllConditionedInitialData,
@@ -47,6 +49,7 @@ import reference_flow as ref
 from conftest import TWO_PI, circle
 
 SQRT_2PI = math.sqrt(TWO_PI)
+EPS = np.finfo(float).eps
 # 2^15-node reference value of the energy quotient of normalize(2 + cos x)
 # on the 2*pi circle with zero potential, c = 1, p = 3; the analytic value
 # pi/sqrt(56.75*pi) = 0.23528378791622642 differs by the reference grid's
@@ -406,7 +409,7 @@ class _ScriptedStepper:
 
 def test_drive_halves_clips_and_keeps_the_final_row():
     cfg = FlowConfig(t_max=0.95, trace_every=4)
-    trace, stop = flow._drive(cfg, _ScriptedStepper(dt=0.3, dt_ok=0.2))
+    trace, stop = next(flow._drive(cfg, [_ScriptedStepper(dt=0.3, dt_ok=0.2)]))
     assert stop == STOP_TMAX
     # five steps of 0.3 halved once, then the 0.2 left before t_max, unhalved
     assert [rec.step for rec in trace] == [0, 4, 6]
@@ -417,12 +420,13 @@ def test_drive_halves_clips_and_keeps_the_final_row():
 
 def test_drive_stops_when_halvings_run_out(monkeypatch):
     monkeypatch.setattr(flow, "_MAX_HALVINGS", 2)
-    trace, stop = flow._drive(FlowConfig(), _ScriptedStepper(dt=1.0, dt_ok=0.2))
+    trace, stop = next(flow._drive(FlowConfig(), [_ScriptedStepper(dt=1.0, dt_ok=0.2)]))
     assert stop == STOP_POSITIVITY
     assert [rec.step for rec in trace] == [0]
     # one more halving lets every step through, at 1/8 of the proposed dt
     monkeypatch.setattr(flow, "_MAX_HALVINGS", 3)
-    trace, stop = flow._drive(FlowConfig(max_steps=2), _ScriptedStepper(dt=1.0, dt_ok=0.2))
+    stepper = _ScriptedStepper(dt=1.0, dt_ok=0.2)
+    trace, stop = next(flow._drive(FlowConfig(max_steps=2), [stepper]))
     assert stop == STOP_MAX_STEPS
     assert [rec.dt for rec in trace] == [0.0, 0.125, 0.125]
 
@@ -733,3 +737,28 @@ def test_run_on_icosphere_reaches_constant_potential_limit(scheme, dt0, icospher
     want = a * man.volume ** ((p - 1.0) / (p + 1.0))
     assert abs(res.r_infinity - want) <= 1e-14 * abs(want)
     np.testing.assert_allclose(res.final.u, man.volume ** (-1.0 / (p + 1.0)), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("scheme,dt0,a", [("explicit", 1e-2, -1.0), ("imex", 1e-3, 0.5)])
+def test_run_on_an_obtuse_mesh_keeps_the_invariants(scheme, dt0, a, flat_icosphere3):
+    # negative cotangent weights void the discrete maximum principle's proof,
+    # yet the floor and shift of acceptance 04 hold (measured margins 2.1e-2,
+    # at its tolerance), and so do acceptance 07's oracle tolerances (gaps
+    # 2.0e-9 and 5.2e-9 in u, 1.9e-14 in r)
+    man = flat_icosphere3
+    assert sparse.triu(man.stiffness, k=1).data.max() > 0  # a negative weight
+    psi = np.full(man.node_count, a)
+    res = run_flow(man, psi, lognormal_field(man, 0), FlowConfig(scheme=scheme, dt0=dt0))
+    assert res.stop == STOP_CONVERGED
+    final = res.final
+    assert abs(integrate(man, final.u ** (final.p + 1.0)) - 1.0) <= 1e-13
+    rs = trace_column(res.trace, "r")
+    assert np.all(np.diff(rs) <= 8.0 * EPS * (1.0 + np.abs(rs[:-1])))
+    if scheme == "explicit":
+        Rm = trace_column(res.trace, "R_min")
+        tol = 1e-4 * (1.0 + abs(Rm[0]))
+        assert np.all(Rm >= min(Rm[0], 0.0) - tol)
+        assert np.all(Rm + max(1.0 - Rm[0], 1.0) >= 1.0 - tol)
+    newt = newton_constrained(man, psi, final.c, final.p, final.u)
+    assert np.max(np.abs(newt.u - final.u)) <= 1e-6
+    assert abs(newt.r - final.r) <= 1e-8

@@ -5,6 +5,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from curvflow import flow as flowmod
+from curvflow import spectral
 from curvflow.errors import (
     ConfigError,
     CurvFlowError,
@@ -197,26 +198,55 @@ def _assert_solo_runs(man, psi, cfg, n_starts, seed):
     return [res for res, _ in pairs]
 
 
-def test_relax_many_yields_each_start_in_order(circle64, monkeypatch):
+def _count_stacks(monkeypatch):
+    """The number of runs in each stacked round of _Together, as they come."""
+    stacked = []
+    inner = flowmod._Together.__call__
+
+    def counted(self, steppers, dts):
+        stacked.append(len(steppers))
+        return inner(self, steppers, dts)
+
+    monkeypatch.setattr(flowmod._Together, "__call__", counted)
+    return stacked
+
+
+# explicit starts stack while three or more are live; imex ones never do
+@pytest.mark.parametrize("scheme,n_starts,stacks", [
+    ("explicit", 1, set()), ("explicit", 2, set()), ("explicit", 3, {3}), ("imex", 3, set()),
+])
+def test_relax_many_yields_each_start_in_order(scheme, n_starts, stacks, circle64, monkeypatch):
     psi = np.cos(circle64.coordinates[:, 0])
+    cfg = FlowConfig(scheme=scheme, dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
     inner = flowmod.run_flow
-    # imex starts run one by one, three explicit ones as a batch; every start
-    # goes through the module's run_flow either way, so a patched one sees it
-    for scheme, n_starts in (("imex", 2), ("explicit", 3)):
-        cfg = FlowConfig(scheme=scheme, dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
-        seen = []
+    seen = []
 
-        def watched(*args):
-            seen.append(inner(*args))
-            return seen[-1]
+    def watched(*args):  # every start goes through the module's run_flow
+        seen.append(inner(*args))
+        return seen[-1]
 
-        monkeypatch.setattr(flowmod, "run_flow", watched)
-        starts = relax_many(circle64, psi, cfg, n_starts, seed=3)
-        assert seen == []  # nothing runs before the first start is pulled
-        pairs = list(starts)
-        assert len(seen) == n_starts and all(res is s for (res, _), s in zip(pairs, seen))
-        monkeypatch.undo()
-        _assert_solo_runs(circle64, psi, cfg, n_starts, seed=3)
+    monkeypatch.setattr(flowmod, "run_flow", watched)
+    stacked = _count_stacks(monkeypatch)
+    starts = relax_many(circle64, psi, cfg, n_starts, seed=3)
+    assert seen == []  # nothing runs before the first start is pulled
+    pairs = list(starts)
+    assert len(seen) == n_starts and all(res is s for (res, _), s in zip(pairs, seen))
+    assert set(stacked) == stacks and (len(stacked) > 0) == bool(stacks)
+    monkeypatch.undo()
+    _assert_solo_runs(circle64, psi, cfg, n_starts, seed=3)
+
+
+def test_relax_many_factors_the_smoother_once(circle64, monkeypatch):
+    calls = []
+    inner = spectral.splu
+
+    def counted(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    monkeypatch.setattr(spectral, "splu", counted)
+    pairs = list(relax_many(circle64, -np.ones(64), FlowConfig(t_max=0.01), 4, seed=2))
+    assert len(pairs) == 4 and calls == [(64, 64)]
 
 
 # Starts that leave the batch at different steps, for different reasons:
@@ -245,14 +275,7 @@ MIXED = {
 def test_relax_many_equals_solo_runs_as_starts_leave(case, circle64, monkeypatch):
     a, cfg, stops = MIXED[case]
     psi = np.cos(circle64.coordinates[:, 0]) if a == "cos" else a * np.ones(64)
-    stacked = []  # the number of runs in each stacked round
-    inner = flowmod._Together.__call__
-
-    def counted(self, steppers, dts):
-        stacked.append(len(steppers))
-        return inner(self, steppers, dts)
-
-    monkeypatch.setattr(flowmod._Together, "__call__", counted)
+    stacked = _count_stacks(monkeypatch)
     results = _assert_solo_runs(circle64, psi, cfg, 4, seed=0)
     # explicit: stacks of all four, then three; fewer run in sequence
     assert set(stacked) == ({3, 4} if cfg.scheme == "explicit" else set())
