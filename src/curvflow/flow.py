@@ -503,19 +503,18 @@ class _Stepper:
     def __init__(self, man: DiscreteManifold, psi: np.ndarray, u0: np.ndarray,
                  cfg: FlowConfig):
         """The stepper at u0 normalized; psi is checked already."""
+        p, c = float(cfg.p), float(cfg.c)
         u0 = _positive_field(man, u0)
         # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
-        u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), cfg.p)
+        u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), p)
         if u_min < 1e-10:
             raise IllConditionedInitialData(f"normalized initial field has min {u_min:.3e} < 1e-10")
-        state = FlowState(u=u, t=0.0, step=0, p=float(cfg.p), c=float(cfg.c),
-                          r=_quotient(man, u, psi, cfg.c, s))
+        state = FlowState(u=u, t=0.0, step=0, p=p, c=c, r=_quotient(man, u, psi, c, s))
         self.man, self.psi = man, psi
-        R, f, res = _diagnose(man, psi, u, state.c, state.p, state.r, upw)
+        R, f, res = _diagnose(man, psi, u, c, p, state.r, upw)
         self.sigma = sigma_shift(R)  # min R + sigma >= 1 here, so _enter logs no graze
         self._graze_level = logging.WARNING
         self._enter(state, u_min, R, f, res)
-        p, c = state.p, state.c
         if cfg.scheme == "imex":
             self._update = lambda st, dt, R: _imex_update(man, psi, st, dt)
             self._dt = lambda u_min: cfg.dt0

@@ -76,7 +76,8 @@ def lambda1(man: DiscreteManifold, psi: np.ndarray, c: float = 1.0) -> EigenResu
     Residual reported (and tested against _EIG_TOL) is the strong form
     |(-c Lap + psi) u1 - lambda u1|_inf / max(1, |lambda|) with u1
     normalized to \\int u1^2 dv = 1.  For a constant psi, lambda is within
-    1 ulp of it on circles, and 2-4 ulps at |psi| >= 1e150 on the 32^2 torus.
+    1 ulp of it on circles; on the 32^2 torus it can be 2-4 ulps off at
+    |psi| >= 1e150.
     """
     psi = _check_field(man, psi, "psi")
     mass = man.mass
@@ -154,7 +155,8 @@ def _lognormal_fields(man: DiscreteManifold, seeds: list) -> list[np.ndarray]:
     except RuntimeError as exc:  # rows of ell^2 S that cancel to 0 next to M
         raise CurvFlowError(f"smoother M + ell^2 S is singular at correlation length "
                             f"{ell:.3g}: {exc}") from exc
-    vol, fields = man.volume, []
+    vol = man.volume
+    fields = []
     for rng in rngs:
         g = rng.standard_normal(man.node_count)
         for _ in range(2):

@@ -211,29 +211,29 @@ def _count_stacks(monkeypatch):
     return stacked
 
 
-# explicit starts stack while three or more are live; imex ones never do
-@pytest.mark.parametrize("scheme,n_starts,stacks", [
-    ("explicit", 1, set()), ("explicit", 2, set()), ("explicit", 3, {3}), ("imex", 3, set()),
-])
-def test_relax_many_yields_each_start_in_order(scheme, n_starts, stacks, circle64, monkeypatch):
+def test_relax_many_yields_each_start_in_order(circle64, monkeypatch):
     psi = np.cos(circle64.coordinates[:, 0])
-    cfg = FlowConfig(scheme=scheme, dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
     inner = flowmod.run_flow
-    seen = []
+    # explicit starts stack while three or more are live, imex ones never;
+    # every start goes through the module's run_flow, so a patched one sees it
+    for scheme, n_starts, stacks in (("explicit", 1, set()), ("explicit", 2, set()),
+                                     ("explicit", 3, {3}), ("imex", 3, set())):
+        cfg = FlowConfig(scheme=scheme, dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
+        seen = []
 
-    def watched(*args):  # every start goes through the module's run_flow
-        seen.append(inner(*args))
-        return seen[-1]
+        def watched(*args):
+            seen.append(inner(*args))
+            return seen[-1]
 
-    monkeypatch.setattr(flowmod, "run_flow", watched)
-    stacked = _count_stacks(monkeypatch)
-    starts = relax_many(circle64, psi, cfg, n_starts, seed=3)
-    assert seen == []  # nothing runs before the first start is pulled
-    pairs = list(starts)
-    assert len(seen) == n_starts and all(res is s for (res, _), s in zip(pairs, seen))
-    assert set(stacked) == stacks and (len(stacked) > 0) == bool(stacks)
-    monkeypatch.undo()
-    _assert_solo_runs(circle64, psi, cfg, n_starts, seed=3)
+        monkeypatch.setattr(flowmod, "run_flow", watched)
+        stacked = _count_stacks(monkeypatch)
+        starts = relax_many(circle64, psi, cfg, n_starts, seed=3)
+        assert seen == []  # nothing runs before the first start is pulled
+        pairs = list(starts)
+        assert len(seen) == n_starts and all(res is s for (res, _), s in zip(pairs, seen))
+        assert set(stacked) == stacks
+        monkeypatch.undo()
+        _assert_solo_runs(circle64, psi, cfg, n_starts, seed=3)
 
 
 def test_relax_many_factors_the_smoother_once(circle64, monkeypatch):
