@@ -255,7 +255,7 @@ def test_relax_many_factors_the_smoother_once(circle64, monkeypatch):
 # far too large (explicit: halvings, then PositivityFailure at 48-98 steps,
 # the last two starts in sequence; imex: Newton matrices that are not SPD,
 # halved until they are, so every start ends at t_max after the same 36
-# steps).  Imex starts are never stacked: relax_many runs them one by one.
+# steps).  Imex starts are never stacked: the batch steps them one by one.
 MIXED = {
     "explicit-max-steps": (-1.0, FlowConfig(tol_f=1e-12, tol_res=1e-7, max_steps=4845),
                            {STOP_CONVERGED, STOP_MAX_STEPS}),
