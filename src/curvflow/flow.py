@@ -18,42 +18,34 @@ Quantities logged per trace row: r, the drift, u and R extrema, the decay
 functional f = \\int (R - r)^2 u^{p+1} dv (which satisfies dr/dt = -2 f
 along exact trajectories) and the stationarity residual in max norm.
 
-_loop is the package's one run loop: it owns stopping, budgets, dt halving
-and thinning for one run, as a generator that asks for each dt it wants
-tried.  _drive, the one driver, runs a list of loops and yields their
-results in order: run_flow and gauss.run_gauss_flow hand it one run, and
-spectral.relax_many hands it all of its starts as one batch (_batch) and
-still takes each start's result through run_flow.  Explicit runs step as
-one (B, N) stack while three or more are live; imex runs, and explicit ones
-with fewer live, step one at a time in start order.  Every run equals its
-solo run bit for bit.
+_drive is the package's one run loop: run_flow and gauss.run_gauss_flow
+hand it a stepper, and it owns stopping, budgets, dt halving and thinning.
+Every run is one start; spectral.relax_many runs its starts through
+run_flow one at a time, in order.
 
 Each formula of the flow is written once, as a private kernel on arrays
 that are already validated: R (_curvature), the checked constraint
 integral (_integral), the two-pass projection (_project), and f with the
-residual (_diagnose).  The explicit kernels take one (N,) field or a
-(B, N) stack; per-field scalars are floats or (B, 1) columns, and every
-reduction and every power of a scalar is taken row by row as for one
-field.  The public helpers validate and call them, and the run loop's
-_settle is built from them, so a run composes the arithmetic the helpers
-expose.  The operator -c Lap + psi comes from the manifold module, as its
-strong form (_apply) and as its quadratic form over a given denominator
-(_quotient), and so does the SPD solve of each imex Newton step: the
-Newton system is solved in its symmetric form, and a step whose matrix is
-not SPD is rejected like one that loses positivity, so the run loop halves
-its dt.  Newton is inexact: each correction is solved only to the forcing
-tolerance _FORCING times what the exit test max |F| <= _NEWTON_TOL
-max(1, |target|) could need of it, never tighter than the solver's 1e-13
-and never looser than 1e-2; the exit test itself checks the true F.
+residual (_diagnose), each on one (N,) field.  The public helpers validate
+and call them, and the run loop's _settle is built from them, so a run
+composes the arithmetic the helpers expose.  The operator -c Lap + psi
+comes from the manifold module, as its strong form (_apply) and as its
+quadratic form over a given denominator (_quotient), and so does the SPD
+solve of each imex Newton step: the Newton system is solved in its
+symmetric form, and a step whose matrix is not SPD is rejected like one
+that loses positivity, so the run loop halves its dt.  Newton is inexact:
+each correction is solved only to the forcing tolerance _FORCING times
+what the exit test max |F| <= _NEWTON_TOL max(1, |target|) could need of
+it, never tighter than the solver's 1e-13 and never looser than 1e-2; the
+exit test itself checks the true F.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import IO, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -67,15 +59,7 @@ from .errors import (
     StepRejectedPositivity,
     ZeroDenominator,
 )
-from .manifold import (
-    _PCG_RTOL,
-    DiscreteManifold,
-    _apply,
-    _check_field,
-    _quotient,
-    _solve,
-    _sum,
-)
+from .manifold import _PCG_RTOL, DiscreteManifold, _apply, _check_field, _quotient, _solve
 
 __all__ = [
     "FlowState",
@@ -115,9 +99,6 @@ _MAX_HALVINGS = 40
 # a time left within this fraction of dt past one step (the rounding of the
 # clock) joins that step instead of becoming a step of its own
 _SLIVER = 1e-6
-# the fewest live explicit runs stepped as one (B, N) stack: at N = 128 a
-# stack of two takes longer than two solo steps, a stack of three less
-_TOGETHER_MIN = 3
 
 
 def default_c(n: int) -> float:
@@ -133,9 +114,7 @@ class FlowState:
 
     norm_err is the pre-projection constraint drift of the step that
     produced this state (0 for initial states); it is carried here so the
-    run loop can log it without re-deriving the un-projected field.  The
-    explicit kernels also take a stack of B states: u of shape (B, N), and t,
-    step, r and norm_err as (B, 1) columns.
+    run loop can log it without re-deriving the un-projected field.
     """
 
     u: np.ndarray
@@ -229,36 +208,18 @@ def _curvature(
     return u ** (-p) * _apply(man, u, psi, c)
 
 
-def _per_field(a):
-    """A max or min over the node axis as manifold._sum hands a sum on: a float
-    for one field, a (B, 1) column for a stack."""
-    return float(a) if a.ndim == 0 else a[:, None]
-
-
-def _every(ok) -> bool:
-    """A check of one field (a bool), or of every row of a stack (a column)."""
-    return ok if ok.__class__ is bool else all(ok.ravel().tolist())
-
-
-def _integral(mass: np.ndarray, u: np.ndarray, p: float):
-    """(\\int u^{p+1} dv, u^{p+1}); for one field, zero or non-finite raises
-    ZeroDenominator.  A stack is checked by _settle's drift test instead: a
-    bad integral at any pass of _project leaves the last one 0, inf or NaN."""
+def _integral(mass: np.ndarray, u: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    """(\\int u^{p+1} dv, u^{p+1}); zero or non-finite raises ZeroDenominator."""
     upw = u ** (p + 1.0)
-    s = _sum(upw, mass)
-    if isinstance(s, float) and not 0 < abs(s) < math.inf:  # NaN fails too
+    s = float(np.dot(upw, mass))
+    if not 0 < abs(s) < math.inf:  # NaN fails too
         raise ZeroDenominator(f"constraint integral is {s}")
     return s, upw
 
 
-def _root(s: np.ndarray, e: float) -> np.ndarray:
-    """s**e of a column row by row, by the C library's pow as for one field's
-    float: numpy's vector power differs from it in the last bit on about 1%
-    of inputs."""
-    return np.array([x**e for x in s.ravel().tolist()])[:, None]
-
-
-def _project(mass: np.ndarray, u: np.ndarray, u_min, p: float):
+def _project(
+    mass: np.ndarray, u: np.ndarray, u_min: float, p: float
+) -> tuple[np.ndarray, float, np.ndarray, float, float]:
     """Scale u onto \\int u^{p+1} dv = 1 in two passes, carrying u_min = u.min().
 
     The second pass removes the O(eps) residue the rounded (p+1)-th root
@@ -268,21 +229,22 @@ def _project(mass: np.ndarray, u: np.ndarray, u_min, p: float):
     s, upw = _integral(mass, u, p)
     before = s
     for _ in range(2):
-        k = s**e if isinstance(s, float) else _root(s, e)
+        k = s**e
         u = u / k
         u_min = u_min / k  # rounding is monotone, so this is exactly u.min()
         s, upw = _integral(mass, u, p)
     return u, u_min, upw, before, s
 
 
-def _diagnose(man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, c: float, p: float, r,
-              upw: np.ndarray):
+def _diagnose(
+    man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, c: float, p: float, r: float,
+    upw: np.ndarray,
+) -> tuple[np.ndarray, float, float]:
     """R, f = \\int (R - r)^2 u^{p+1} dv and the stationarity residual
     max |u^p (R - r)|, given upw = u^{p+1}."""
     R = _curvature(man, u, psi, c, p)
     dev = R - r
-    return (R, _sum(dev * dev * upw, man.mass),
-            _per_field(np.abs(upw / u * dev).max(axis=-1)))
+    return R, float(np.dot(dev * dev * upw, man.mass)), float(np.abs(upw / u * dev).max())
 
 
 def pseudo_scalar_curvature(
@@ -344,19 +306,17 @@ def _settle(
 
     Checks the update once and forms u^{p+1} once per projection pass.
     Returns (state, u^{p+1}, u.min()); the middle one is what _diagnose
-    needs.  A stack of states (see FlowState) settles row by row; a row
-    that fails a check fails the whole stack, whose message quotes the
-    stack's least dt or largest drift.
+    needs.
     """
-    m = _per_field(unew.min(axis=-1))
-    if not _every(m > 0.0):
-        if not _every(m == m):
-            raise NonPositiveField("u must be strictly positive everywhere")
-        raise StepRejectedPositivity(f"{scheme} step dt={np.min(dt):.3e} lost positivity")
+    m = float(unew.min())
+    if m <= 0.0:
+        raise StepRejectedPositivity(f"{scheme} step dt={dt:.3e} lost positivity")
+    if math.isnan(m):
+        raise NonPositiveField("u must be strictly positive everywhere")
     u, u_min, upw, before, s = _project(man.mass, unew, m, state.p)
     drift = s - 1.0
-    if not _every(abs(drift) <= 1e-13):
-        raise CurvFlowError(f"projection left constraint drift {np.max(drift):.3e}")
+    if abs(drift) > 1e-13:
+        raise CurvFlowError(f"projection left constraint drift {drift:.3e}")
     r = _quotient(man, u, psi, state.c, s)
     return FlowState(u=u, t=state.t + dt, step=state.step + 1, p=state.p, c=state.c,
                      r=r, norm_err=before - 1.0), upw, u_min
@@ -495,7 +455,7 @@ def _fit_decay_rate(trace: Sequence[TraceRecord], psi: np.ndarray) -> float | No
 
 
 class _Stepper:
-    """run_flow's stepper for the run loop; the scheme is picked once, here.  The
+    """run_flow's stepper for _drive; the scheme is picked once, here.  The
     explicit step reuses the u_min and R that the trace row also shows.
     The first graze of the shifted-curvature bound is a warning, later ones
     are debug lines, so a grazing run does not flood stderr."""
@@ -509,12 +469,11 @@ class _Stepper:
         u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), p)
         if u_min < 1e-10:
             raise IllConditionedInitialData(f"normalized initial field has min {u_min:.3e} < 1e-10")
-        state = FlowState(u=u, t=0.0, step=0, p=p, c=c, r=_quotient(man, u, psi, c, s))
         self.man, self.psi = man, psi
-        R, f, res = _diagnose(man, psi, u, c, p, state.r, upw)
-        self.sigma = sigma_shift(R)  # min R + sigma >= 1 here, so _enter logs no graze
+        self._enter(FlowState(u=u, t=0.0, step=0, p=p, c=c, r=_quotient(man, u, psi, c, s)),
+                    upw, u_min)
+        self.sigma = sigma_shift(self.R)
         self._graze_level = logging.WARNING
-        self._enter(state, u_min, R, f, res)
         if cfg.scheme == "imex":
             self._update = lambda st, dt, R: _imex_update(man, psi, st, dt)
             self._dt = lambda u_min: cfg.dt0
@@ -522,15 +481,20 @@ class _Stepper:
             self._update = lambda st, dt, R: _explicit_update(man, psi, st, dt, R)
             self._dt = lambda u_min: _stable_dt(man, u_min, p, c, cfg.safety, cfg.dt0)
 
-    def _enter(self, state: FlowState, u_min: float, R: np.ndarray, f: float, res: float,
-               extremes: tuple | None = None) -> None:
-        """Take state as the current one; extremes are (min R, max u, max R)
-        when the caller has them already."""
-        if not (f < math.inf and res < math.inf):  # NaN fails too
-            raise CurvFlowError(f"f = {f}, res = {res}: not finite at step {state.step}")
+    def _enter(self, state: FlowState, upw: np.ndarray, u_min: float) -> None:
         self.state, self.t, self.step, self.u_min = state, state.t, state.step, u_min
-        self.R, self.f, self.res, self._extremes = R, f, res, extremes
-        self.R_min = float(R.min()) if extremes is None else extremes[0]
+        self.R, self.f, self.res = _diagnose(self.man, self.psi, state.u, state.c, state.p,
+                                             state.r, upw)
+        if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
+            raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")
+        self.R_min = float(self.R.min())
+
+    def dt(self) -> float:
+        return self._dt(self.u_min)
+
+    def advance(self, dt: float) -> None:
+        # a rejected step raises inside _update, before any attribute changes
+        self._enter(*self._update(self.state, dt, self.R))
         sigma = self.sigma
         if self.R_min + sigma < 1.0 - 1e-6 * sigma:
             log.log(
@@ -540,18 +504,8 @@ class _Stepper:
             )
             self._graze_level = logging.DEBUG
 
-    def dt(self) -> float:
-        return self._dt(self.u_min)
-
-    def advance(self, dt: float) -> None:
-        # a rejected step raises inside _update, before any attribute changes
-        state, upw, u_min = self._update(self.state, dt, self.R)
-        self._enter(state, u_min,
-                    *_diagnose(self.man, self.psi, state.u, state.c, state.p, state.r, upw))
-
     def record(self, dt: float) -> TraceRecord:
         state = self.state
-        _, u_max, R_max = self._extremes or (None, float(state.u.max()), float(self.R.max()))
         return TraceRecord(
             step=state.step,
             t=state.t,
@@ -559,59 +513,22 @@ class _Stepper:
             r=state.r,
             norm_err=state.norm_err,
             u_min=self.u_min,
-            u_max=u_max,
+            u_max=float(state.u.max()),
             f=self.f,
             R_min=self.R_min,
-            R_max=R_max,
+            R_max=float(self.R.max()),
             res_linf=self.res,
         )
 
 
-class _Together:
-    """Explicit steps of several _Steppers on one manifold, psi, p and c as
-    one (B, N) stack.  Called with the steppers and their dts, it returns each
-    stepper's move, which does what advance(dt) would, bit for bit.  It
-    changes no stepper: if any row fails, it raises, and _drive advances
-    the runs one by one instead.  When every stepper took its move of the last
-    call, their states are rows of that call's stack, which is reused."""
+def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
+    """The run loop: step until converged, out of budget, or out of halvings.
 
-    def __init__(self):
-        self._last = (), None, None  # the states the last call made, their stack and R
-
-    def __call__(self, steppers: list[_Stepper], dts: list[float]) -> list:
-        first = steppers[0]
-        man, psi, p, c = first.man, first.psi, first.state.p, first.state.c
-
-        def column(values):
-            return np.array(values)[:, None]
-
-        made, stack, R = self._last
-        if len(made) != len(steppers) or any(a is not s.state for a, s in zip(made, steppers)):
-            stack = FlowState(u=np.array([s.state.u for s in steppers]),
-                              t=column([s.t for s in steppers]),
-                              step=column([s.step for s in steppers]), p=p, c=c,
-                              r=column([s.state.r for s in steppers]))
-            R = np.array([s.R for s in steppers])
-        new, upw, u_min = _explicit_update(man, psi, stack, column(dts), R)
-        R, f, res = _diagnose(man, psi, new.u, c, p, new.r, upw)
-        rows = zip(new.u, R, *(a.ravel().tolist() for a in
-                               (new.t, new.step, new.r, new.norm_err, u_min, f, res)),
-                   R.min(axis=1).tolist(), new.u.max(axis=1).tolist(), R.max(axis=1).tolist())
-        moves = [(FlowState(u=u, t=t, step=k, p=p, c=c, r=r, norm_err=err), m, Rj, fj, rj, ext)
-                 for u, Rj, t, k, r, err, m, fj, rj, *ext in rows]
-        self._last = [move[0] for move in moves], new, R
-        return [functools.partial(s._enter, *move) for s, move in zip(steppers, moves)]
-
-
-def _loop(cfg: FlowConfig, stepper):
-    """The run loop of one run: step until converged, out of budget, or out of halvings.
-
-    A generator: it yields each dt it wants the stepper advanced by, and is
-    sent True once the stepper has taken that step, False when the step was
-    rejected and the stepper kept its state.  It returns (trace, stop).  The
-    stepper exposes t, step, f and res of its current state, dt(), and
-    record(dt), the trace row of its current state.  Rows are kept for step
-    0, every trace_every-th step and the final state.
+    Returns (trace, stop).  The stepper exposes t, step, f and res of its
+    current state, dt(), advance(dt), which raises StepRejectedPositivity
+    and keeps its state when dt is too large, and record(dt), the trace row
+    of its current state.  Rows are kept for step 0, every trace_every-th
+    step and the final state.
     """
     trace = [stepper.record(0.0)]
     last_dt = 0.0
@@ -630,9 +547,11 @@ def _loop(cfg: FlowConfig, stepper):
         if remaining <= dt * (1.0 + _SLIVER):
             dt = remaining
         for _ in range(_MAX_HALVINGS + 1):
-            if (yield dt):
+            try:
+                stepper.advance(dt)
                 break
-            dt *= 0.5
+            except StepRejectedPositivity:
+                dt *= 0.5
         else:
             stop = STOP_POSITIVITY
             break
@@ -643,116 +562,6 @@ def _loop(cfg: FlowConfig, stepper):
     if trace[-1].step != stepper.step:
         trace.append(stepper.record(last_dt))
     return trace, stop
-
-
-def _drive(cfg: FlowConfig, steppers: list, together=None):
-    """Run _loop on every stepper; yield each (trace, stop) in order.
-
-    Each round advances runs by the dt their loops asked for.  While
-    together is given and at least _TOGETHER_MIN runs are live, the round is
-    every live run, stepped through together(steppers, dts), which returns
-    each stepper's move; otherwise the round is the run awaited next, alone,
-    so the runs step in sequence.  When together raises CurvFlowError, the
-    round's runs advance one by one through advance(dt) instead.  advance
-    (or the move) raises StepRejectedPositivity, and keeps the stepper's
-    state, when dt is too large.  Runs leave as they stop; a run that raises
-    another CurvFlowError leaves too, and its error is raised in its turn.
-    An entry of steppers may already be such an error.
-    """
-    done = {i: s for i, s in enumerate(steppers) if isinstance(s, CurvFlowError)}
-    loops = {i: _loop(cfg, s) for i, s in enumerate(steppers) if i not in done}
-    asks = {}  # the dt each live loop asks for
-
-    def send(j, ok):
-        try:
-            asks[j] = loops[j].send(ok)
-        except StopIteration as end:
-            done[j] = end.value
-        except CurvFlowError as exc:
-            done[j] = exc
-
-    for j in loops:
-        send(j, None)
-    for i in range(len(steppers)):
-        while i not in done:
-            batch = together is not None and len(asks) >= _TOGETHER_MIN
-            members = list(asks) if batch else [i]
-            moves = None
-            if batch:
-                try:
-                    moves = together([steppers[j] for j in members], [asks[j] for j in members])
-                except CurvFlowError:
-                    pass
-            for k, j in enumerate(members):
-                dt = asks.pop(j)
-                try:
-                    if moves:
-                        moves[k]()
-                    else:
-                        steppers[j].advance(dt)
-                except StepRejectedPositivity:
-                    send(j, False)
-                except CurvFlowError as exc:
-                    done[j] = exc
-                else:
-                    send(j, True)
-        out = done.pop(i)
-        if isinstance(out, CurvFlowError):
-            raise out
-        yield out
-
-
-def _runs(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
-    """run_flow from each of u0s, all through one _drive, which may stack
-    explicit runs only; yields each FlowResult in order, or raises what its
-    run raised, in its turn.  Each equals its own run_flow bit for bit."""
-    cfg.validate()
-    psi = _check_field(man, psi, "psi")
-    # overflow surfaces as a non-finite integral, f or residual, each of
-    # which raises; one context for the runs' arithmetic, not one per kernel
-    # call, and none held while a result is out with the caller
-    with np.errstate(over="ignore", invalid="ignore"):
-        steppers = []
-        for u0 in u0s:
-            try:
-                steppers.append(_Stepper(man, psi, u0, cfg))
-            except CurvFlowError as exc:
-                steppers.append(exc)
-    runs = _drive(cfg, steppers, _Together() if cfg.scheme == "explicit" else None)
-    for stepper in steppers:
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace, stop = next(runs)
-        final = stepper.state
-        if final.u.base is not None:  # a row of a stack: keep the row, not the stack
-            final = replace(final, u=final.u.copy())
-        yield FlowResult(
-            final=final,
-            trace=trace,
-            stop=stop,
-            r_infinity=final.r,
-            decay_rate=_fit_decay_rate(trace, psi),
-        )
-
-
-# The start fields of batches under way (see _batch), by id: run_flow from
-# such a field takes its result from the batch.  run_flow's signature is
-# public, so this table is the channel; an entry lives only from the moment
-# _batch yields its field until run_flow takes it or the next one is pulled.
-_pending: dict[int, Iterator[FlowResult]] = {}
-
-
-def _batch(man: DiscreteManifold, psi: np.ndarray, u0s: list, cfg: FlowConfig):
-    """Run the flow from all of u0s as one batch (_runs) and yield each field
-    in turn.  run_flow from the yielded field, called before the next one is
-    pulled, returns that field's result from the batch, so a caller still
-    runs each start through run_flow and a wrapper of run_flow sees each."""
-    runs = _runs(man, psi, u0s, cfg)
-    for u0 in u0s:
-        _pending[id(u0)] = runs
-        try:
-            yield u0
-        finally:
-            _pending.pop(id(u0), None)
 
 
 def run_flow(
@@ -767,13 +576,22 @@ def run_flow(
     Steps that lose positivity (or whose imex Newton matrix is not SPD) are
     retried with halved dt up to _MAX_HALVINGS times; exhausting the
     halvings ends the run with stop = "PositivityFailure" (the partial
-    trace is still returned).  From a start field of a batch (_batch) the
-    result is the batch's, which is the same bit for bit.
+    trace is still returned).
     """
-    runs = _pending.pop(id(u0), None)
-    if runs is None:
-        runs = _runs(man, psi, [u0], cfg)
-    return next(runs)
+    cfg.validate()
+    psi = _check_field(man, psi, "psi")
+    # overflow surfaces as a non-finite integral, f or residual, each of
+    # which raises; one context for the run, not one per kernel call
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepper = _Stepper(man, psi, u0, cfg)
+        trace, stop = _drive(cfg, stepper)
+    return FlowResult(
+        final=stepper.state,
+        trace=trace,
+        stop=stop,
+        r_infinity=stepper.state.r,
+        decay_rate=_fit_decay_rate(trace, psi),
+    )
 
 
 def write_trace_csv(trace: Iterable[TraceRecord], fh: IO[str]) -> None:

@@ -16,6 +16,7 @@ holding the relative area drift and the R columns holding K extrema.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,8 @@ class _GaussStepper:
         dev = K - r
         self.f = float(np.dot(man.mass, dev * dev * w))
         self.res = float(np.max(np.abs(lap - self.psi + r * w)))
+        if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
+            raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")
 
     def dt(self) -> float:
         stable = self._safe_mass * float(np.exp(2.0 * self.u.min())) / self._smax
@@ -126,12 +129,15 @@ def run_gauss_flow(
     _check_2d(man)
     u = _check_field(man, u0, "u0").copy()
     psi = _check_field(man, psi, "psi")
-    s = _GaussStepper(man, psi, u, cfg)
-    log.info(
-        "normalizing term r = (total psi %.6e) / evolving area; this choice "
-        "conserves the area integral (start %.6e)", s.psi_total, s.area0,
-    )
-    trace, stop = next(_drive(cfg, [s]))
+    # overflow ends the run as CurvFlowError, from a non-finite u, f or
+    # residual, so numpy's warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = _GaussStepper(man, psi, u, cfg)
+        log.info(
+            "normalizing term r = (total psi %.6e) / evolving area; this choice "
+            "conserves the area integral (start %.6e)", s.psi_total, s.area0,
+        )
+        trace, stop = _drive(cfg, s)
     # built once from the stepper's plain attributes, not on every step
     final = GaussState(u=s.u, t=s.t, step=s.step, r=s.r)
     return FlowResult(final=final, trace=trace, stop=stop, r_infinity=s.r)

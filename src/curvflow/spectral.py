@@ -20,10 +20,9 @@ flow and yields each result and final energy in start order; estimate_Y
 brackets the infimum from above by the least of them, and raises at the
 first start that loses positivity.  relax_many draws all its start fields
 at the first pull, through one factorization of the smoother, and runs
-them as one batch: explicit starts step as one stack while three or more
-are live; imex starts, and explicit ones with fewer live, step one at a
-time in start order.  The estimate is an upper bound by construction,
-which is why the CLI labels it Y_psi_upper.
+each start through flow.run_flow only when it is pulled.  The estimate is
+an upper bound by construction, which is why the CLI labels it
+Y_psi_upper.
 """
 
 from __future__ import annotations
@@ -178,16 +177,12 @@ def relax_many(
     (FlowResult, E of its final field) for each start in order.
 
     Nothing runs before the first start is pulled.  The first pull draws
-    every start's field, through one factorization of the smoother, and
-    runs them as one batch (see flow._batch): explicit starts step as one
-    stack while three or more are live; imex starts, and explicit ones with
-    fewer live, step one at a time in start order.  Start i is yielded once
-    it and every earlier start have stopped, so later starts may have run
-    already; all n_starts fields are held at once.  Each start goes through
-    flow.run_flow, and its result equals run_flow from that start alone,
-    bit for bit.  Start i draws from substream (seed, i).  Every start is
-    yielded, whatever its stop; a start whose run raises raises in its
-    turn.  E uses cfg's p and c, the ones the flow ran with.
+    every start's field, through one factorization of the smoother; start
+    i draws from substream (seed, i).  Each start then runs through
+    flow.run_flow when it is pulled, so pulling start i has run starts 0..i
+    only.  Every start is yielded, whatever its stop; a start whose run
+    raises raises when it is pulled.  E uses cfg's p and c, the ones the
+    flow ran with.
     """
     if n_starts < 1:
         raise ConfigError("n_starts must be >= 1")
@@ -195,7 +190,7 @@ def relax_many(
 
     def starts():  # nested, so n_starts is checked before any start is pulled
         fields = _lognormal_fields(man, [(seed, i) for i in range(n_starts)])
-        for u0 in flowmod._batch(man, psi, fields, cfg):
+        for u0 in fields:
             # through the module attribute, so a patched run_flow sees each start
             result = flowmod.run_flow(man, psi, u0, cfg)
             yield result, energy_E(man, result.final.u, psi, cfg.c, cfg.p)
@@ -219,8 +214,8 @@ def estimate_Y(
     Runs that merely hit the time or step budget still count (any positive
     field bounds inf E).  A positivity failure aborts at the first failing
     start: its last field is positive too, but cfg could not relax it, and
-    its energy would weaken the estimate without a word.  Later explicit
-    starts may have run alongside it by then (see relax_many).
+    its energy would weaken the estimate without a word; no later start
+    runs.
     """
     if cfg is None:
         cfg = flowmod.FlowConfig(scheme="imex", dt0=1e-3, t_max=200.0, p=p, c=c)

@@ -280,6 +280,13 @@ BAD_INPUTS = {
     # M + ell^2 S is finite, but its short-side rows cancel to 0: SuperLU finds it singular
     "torus-smoother-singular": lambda tmp: ("run", "--torus", "3:1e50,3:1e-50", "--psi", "-1"),
     "sweep-smoother-singular": lambda tmp: ("sweep", "--torus", "3:1e50,3:1e-50", "--psi", "-1"),
+    # overflow in the area integral or in K: the error line comes with no numpy warning
+    "gauss-psi-overflow": lambda tmp: ("gauss", "--torus", "8:6.28,8:6.28", "--psi", "1e308"),
+    "gauss-psi-overflow-K": lambda tmp: ("gauss", "--torus", "8:6.28,8:6.28",
+                                         "--psi", "1e200*cos(x1)", "--max-steps", "5"),
+    # u stays finite, but e^{2u} overflows, so f is NaN after one step
+    "gauss-f-nan": lambda tmp: ("gauss", "--torus", "8:6.28,8:6.28", "--psi", "1e100*cos(x1)",
+                                "--max-steps", "1"),
 }
 
 
@@ -291,7 +298,8 @@ BAD_INPUT_NAMES = {"tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
                    "torus-step-inverse-overflow": "N/L", "torus-weight-overflow": "stiffness",
                    "torus-smoother-overflow": "ell^2",
                    "torus-smoother-singular": "correlation length",
-                   "sweep-smoother-singular": "correlation length"}
+                   "sweep-smoother-singular": "correlation length",
+                   "gauss-f-nan": "f = nan"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

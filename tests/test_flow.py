@@ -409,7 +409,7 @@ class _ScriptedStepper:
 
 def test_drive_halves_clips_and_keeps_the_final_row():
     cfg = FlowConfig(t_max=0.95, trace_every=4)
-    trace, stop = next(flow._drive(cfg, [_ScriptedStepper(dt=0.3, dt_ok=0.2)]))
+    trace, stop = flow._drive(cfg, _ScriptedStepper(dt=0.3, dt_ok=0.2))
     assert stop == STOP_TMAX
     # five steps of 0.3 halved once, then the 0.2 left before t_max, unhalved
     assert [rec.step for rec in trace] == [0, 4, 6]
@@ -420,13 +420,13 @@ def test_drive_halves_clips_and_keeps_the_final_row():
 
 def test_drive_stops_when_halvings_run_out(monkeypatch):
     monkeypatch.setattr(flow, "_MAX_HALVINGS", 2)
-    trace, stop = next(flow._drive(FlowConfig(), [_ScriptedStepper(dt=1.0, dt_ok=0.2)]))
+    trace, stop = flow._drive(FlowConfig(), _ScriptedStepper(dt=1.0, dt_ok=0.2))
     assert stop == STOP_POSITIVITY
     assert [rec.step for rec in trace] == [0]
     # one more halving lets every step through, at 1/8 of the proposed dt
     monkeypatch.setattr(flow, "_MAX_HALVINGS", 3)
     stepper = _ScriptedStepper(dt=1.0, dt_ok=0.2)
-    trace, stop = next(flow._drive(FlowConfig(max_steps=2), [stepper]))
+    trace, stop = flow._drive(FlowConfig(max_steps=2), stepper)
     assert stop == STOP_MAX_STEPS
     assert [rec.dt for rec in trace] == [0.0, 0.125, 0.125]
 

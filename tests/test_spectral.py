@@ -198,26 +198,11 @@ def _assert_solo_runs(man, psi, cfg, n_starts, seed):
     return [res for res, _ in pairs]
 
 
-def _count_stacks(monkeypatch):
-    """The number of runs in each stacked round of _Together, as they come."""
-    stacked = []
-    inner = flowmod._Together.__call__
-
-    def counted(self, steppers, dts):
-        stacked.append(len(steppers))
-        return inner(self, steppers, dts)
-
-    monkeypatch.setattr(flowmod._Together, "__call__", counted)
-    return stacked
-
-
 def test_relax_many_yields_each_start_in_order(circle64, monkeypatch):
     psi = np.cos(circle64.coordinates[:, 0])
     inner = flowmod.run_flow
-    # explicit starts stack while three or more are live, imex ones never;
     # every start goes through the module's run_flow, so a patched one sees it
-    for scheme, n_starts, stacks in (("explicit", 1, set()), ("explicit", 2, set()),
-                                     ("explicit", 3, {3}), ("imex", 3, set())):
+    for scheme, n_starts in (("explicit", 1), ("explicit", 2), ("explicit", 3), ("imex", 3)):
         cfg = FlowConfig(scheme=scheme, dt0=1e-3, t_max=0.5, p=2.5, c=0.7)
         seen = []
 
@@ -226,12 +211,10 @@ def test_relax_many_yields_each_start_in_order(circle64, monkeypatch):
             return seen[-1]
 
         monkeypatch.setattr(flowmod, "run_flow", watched)
-        stacked = _count_stacks(monkeypatch)
         starts = relax_many(circle64, psi, cfg, n_starts, seed=3)
         assert seen == []  # nothing runs before the first start is pulled
         pairs = list(starts)
         assert len(seen) == n_starts and all(res is s for (res, _), s in zip(pairs, seen))
-        assert set(stacked) == stacks
         monkeypatch.undo()
         _assert_solo_runs(circle64, psi, cfg, n_starts, seed=3)
 
@@ -249,13 +232,12 @@ def test_relax_many_factors_the_smoother_once(circle64, monkeypatch):
     assert len(pairs) == 4 and calls == [(64, 64)]
 
 
-# Starts that leave the batch at different steps, for different reasons:
-# max_steps between their step counts (MaxSteps and Converged), a t_max
-# between their times to convergence (TmaxReached and Converged), and steps
-# far too large (explicit: halvings, then PositivityFailure at 48-98 steps,
-# the last two starts in sequence; imex: Newton matrices that are not SPD,
-# halved until they are, so every start ends at t_max after the same 36
-# steps).  Imex starts are never stacked: the batch steps them one by one.
+# Starts that stop at different steps, for different reasons: max_steps
+# between their step counts (MaxSteps and Converged), a t_max between their
+# times to convergence (TmaxReached and Converged), and steps far too large
+# (explicit: halvings, then PositivityFailure at 48-98 steps; imex: Newton
+# matrices that are not SPD, halved until they are, so every start ends at
+# t_max after the same 36 steps).
 MIXED = {
     "explicit-max-steps": (-1.0, FlowConfig(tol_f=1e-12, tol_res=1e-7, max_steps=4845),
                            {STOP_CONVERGED, STOP_MAX_STEPS}),
@@ -272,14 +254,11 @@ MIXED = {
 
 
 @pytest.mark.parametrize("case", sorted(MIXED))
-def test_relax_many_equals_solo_runs_as_starts_leave(case, circle64, monkeypatch):
+def test_relax_many_equals_solo_runs_as_starts_leave(case, circle64):
     a, cfg, stops = MIXED[case]
     psi = np.cos(circle64.coordinates[:, 0]) if a == "cos" else a * np.ones(64)
-    stacked = _count_stacks(monkeypatch)
     results = _assert_solo_runs(circle64, psi, cfg, 4, seed=0)
-    # explicit: stacks of all four, then three; fewer run in sequence
-    assert set(stacked) == ({3, 4} if cfg.scheme == "explicit" else set())
-    assert all(res.final.u.base is None for res in results)  # no result holds a stack
+    assert all(res.final.u.base is None for res in results)  # each final field owns its data
     assert {res.stop for res in results} == stops
     if case == "imex-doomed":  # all stop at t_max after 36 steps, the first one halved
         assert all(res.trace[1].dt < cfg.dt0 for res in results)
@@ -287,37 +266,48 @@ def test_relax_many_equals_solo_runs_as_starts_leave(case, circle64, monkeypatch
         assert len({res.final.step for res in results}) > 1
 
 
-def test_a_start_that_raises_raises_in_its_turn(circle64):
+def test_a_start_that_raises_raises_in_its_turn(circle64, monkeypatch):
     psi = -np.ones(64)
     good = lognormal_field(circle64, 1)
     flat = good.copy()
     flat[3] = 1e-12  # normalizes to a min below 1e-10
-    runs = flowmod._runs(circle64, psi, [good, flat, good], LEAN)
-    _assert_same_run(next(runs), flowmod.run_flow(circle64, psi, good, LEAN))
+    monkeypatch.setattr(spectral, "_lognormal_fields", lambda man, seeds: [good, flat, good])
+    starts = relax_many(circle64, psi, LEAN, 3)
+    _assert_same_run(next(starts)[0], flowmod.run_flow(circle64, psi, good, LEAN))
     with pytest.raises(IllConditionedInitialData):
-        next(runs)
+        next(starts)
 
 
-def test_run_flow_between_batched_starts_runs_alone(circle64):
-    psi = -np.ones(64)
-    cfg = FlowConfig(t_max=0.5)
-    starts = relax_many(circle64, psi, cfg, 3, seed=1)
-    first, _ = next(starts)
-    # a caller's own run_flow while the batch is out is not taken from it
-    _assert_same_run(first, flowmod.run_flow(circle64, psi, lognormal_field(circle64, (1, 0)), cfg))
-    starts.close()
-    assert flowmod._pending == {}
-
-
-def test_positivity_failure_is_yielded_by_relax_many_and_aborts_estimate_Y(circle64):
+def test_positivity_failure_is_yielded_by_relax_many_and_aborts_estimate_Y(circle64, monkeypatch):
     # steps far too large for the explicit scheme: every start loses
     # positivity within a few hundred steps, with a positive last field
     doomed = FlowConfig(dt0=10.0, safety=50.0, t_max=10.0)
-    starts = list(relax_many(circle64, -np.ones(64), doomed, 2, seed=0))
+    calls, built = [], []  # run_flow calls, and the runs set up (one _Stepper each)
+    inner = flowmod.run_flow
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    class Counted(flowmod._Stepper):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(flowmod, "run_flow", counted)
+    monkeypatch.setattr(flowmod, "_Stepper", Counted)
+    pulled = relax_many(circle64, -np.ones(64), doomed, 2, seed=0)
+    starts = []
+    for i in range(2):  # start i runs only when it is pulled
+        starts.append(next(pulled))
+        assert len(calls) == len(built) == i + 1
     assert [res.stop for res, _ in starts] == [STOP_POSITIVITY] * 2
     assert all(res.final.u.min() > 0 and np.isfinite(E) for res, E in starts)
+    calls.clear()
+    built.clear()
     with pytest.raises(CurvFlowError, match="start 0 lost positivity"):
         estimate_Y(circle64, -np.ones(64), 1.0, 3.0, n_starts=2, seed=0, cfg=doomed)
+    assert len(calls) == len(built) == 1  # the abort at start 0 leaves start 1 unrun
 
 
 def test_sphere_constant_reference_values():
