@@ -13,6 +13,7 @@ from .flow import (
     FlowConfig,
     FlowResult,
     FlowState,
+    Trace,
     TraceRecord,
     adaptive_dt,
     default_c,

@@ -16,7 +16,9 @@ a direct consistency check of the scheme.
 
 Quantities logged per trace row: r, the drift, u and R extrema, the decay
 functional f = \\int (R - r)^2 u^{p+1} dv (which satisfies dr/dt = -2 f
-along exact trajectories) and the stationarity residual in max norm.
+along exact trajectories) and the stationarity residual in max norm.  A
+run's rows form a Trace, stored as one float64 buffer; FlowResult.trace
+and read_trace_csv give one, and a TraceRecord is built per row read.
 
 _drive is the package's one run loop: run_flow and gauss.run_gauss_flow
 hand it a stepper, and it owns stopping, budgets, dt halving and thinning.
@@ -44,8 +46,9 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +68,7 @@ __all__ = [
     "FlowState",
     "FlowConfig",
     "TraceRecord",
+    "Trace",
     "FlowResult",
     "pseudo_scalar_curvature",
     "rayleigh_r",
@@ -183,12 +187,53 @@ class TraceRecord:
 
 TRACE_HEADER = "step,t,dt,r,norm_err,u_min,u_max,f,R_min,R_max,res_linf"
 _TRACE_FIELDS = TRACE_HEADER.split(",")
+_WIDTH = len(_TRACE_FIELDS)
+# one CSV row in one operation; "%.16e" % x gives the bytes of format(x, ".16e")
+_CSV_ROW = "%d" + ",%.16e" * (_WIDTH - 1) + "\n"
+
+
+class Trace(Sequence[TraceRecord]):
+    """Read-only trace rows in one float64 buffer, in TRACE_HEADER order, the
+    step exact up to 2**53.  A row is built as a TraceRecord when read, a
+    slice is a Trace, and a Trace equals a Trace or list with the same rows."""
+
+    def __init__(self, records: Iterable[TraceRecord] = ()):
+        self._buf = array("d", [getattr(rec, k) for rec in records for k in _TRACE_FIELDS])
+
+    def _rows(self) -> Iterator[tuple[float, ...]]:
+        return zip(*[iter(self._buf)] * _WIDTH)
+
+    def _table(self) -> np.ndarray:
+        # a view: hold it only briefly, since the buffer cannot grow under it
+        return np.frombuffer(self._buf, dtype=np.float64).reshape(-1, _WIDTH)
+
+    def __len__(self) -> int:
+        return len(self._buf) // _WIDTH
+
+    def __getitem__(self, i: int | slice) -> TraceRecord | Trace:
+        rows = self._table()[i]
+        if isinstance(i, slice):
+            out = Trace()
+            out._buf.frombytes(rows.tobytes())
+            return out
+        step, *vals = rows.tolist()
+        return TraceRecord(int(step), *vals)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return (TraceRecord(int(step), *vals) for step, *vals in self._rows())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            return self._buf == other._buf
+        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 @dataclass
 class FlowResult:
+    """A run's final state, its Trace, why it stopped, and r at the end."""
+
     final: FlowState
-    trace: list[TraceRecord]
+    trace: Trace
     stop: str
     r_infinity: float
     decay_rate: float | None = None
@@ -434,7 +479,7 @@ def sigma_shift(R0: np.ndarray) -> float:
     return float(max(1.0 - R0.min(), 1.0))
 
 
-def _fit_decay_rate(trace: Sequence[TraceRecord], psi: np.ndarray) -> float | None:
+def _fit_decay_rate(trace: Trace, psi: np.ndarray) -> float | None:
     """Least-squares slope of log r over the trailing half of the trace.
 
     Only meaningful for the zero-potential flow, where r is the (positive)
@@ -446,8 +491,7 @@ def _fit_decay_rate(trace: Sequence[TraceRecord], psi: np.ndarray) -> float | No
     tail = trace[len(trace) // 2 :]
     if len(tail) < 5:
         return None
-    rs = np.array([rec.r for rec in tail])
-    ts = np.array([rec.t for rec in tail])
+    rs, ts = trace_column(tail, "r"), trace_column(tail, "t")
     if np.any(rs <= 0) or ts[-1] <= ts[0]:
         return None
     slope = np.polyfit(ts, np.log(rs), 1)[0]
@@ -504,33 +548,24 @@ class _Stepper:
             )
             self._graze_level = logging.DEBUG
 
-    def record(self, dt: float) -> TraceRecord:
-        state = self.state
-        return TraceRecord(
-            step=state.step,
-            t=state.t,
-            dt=dt,
-            r=state.r,
-            norm_err=state.norm_err,
-            u_min=self.u_min,
-            u_max=float(state.u.max()),
-            f=self.f,
-            R_min=self.R_min,
-            R_max=float(self.R.max()),
-            res_linf=self.res,
-        )
+    def record(self, dt: float) -> tuple[float, ...]:
+        state, R = self.state, self.R
+        return (state.step, state.t, dt, state.r, state.norm_err, self.u_min, state.u.max(),
+                self.f, self.R_min, R.max(), self.res)
 
 
-def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
+def _drive(cfg: FlowConfig, stepper) -> tuple[Trace, str]:
     """The run loop: step until converged, out of budget, or out of halvings.
 
     Returns (trace, stop).  The stepper exposes t, step, f and res of its
     current state, dt(), advance(dt), which raises StepRejectedPositivity
-    and keeps its state when dt is too large, and record(dt), the trace row
-    of its current state.  Rows are kept for step 0, every trace_every-th
-    step and the final state.
+    and keeps its state when dt is too large, and record(dt), the values of
+    the trace row of its current state.  Rows are kept for step 0, every
+    trace_every-th step and the final state.
     """
-    trace = [stepper.record(0.0)]
+    trace = Trace()
+    append = trace._buf.extend
+    append(stepper.record(0.0))
     last_dt = 0.0
     while True:
         if stepper.f <= cfg.tol_f and stepper.res <= cfg.tol_res:
@@ -557,10 +592,10 @@ def _drive(cfg: FlowConfig, stepper) -> tuple[list[TraceRecord], str]:
             break
         last_dt = dt
         if stepper.step % cfg.trace_every == 0:
-            trace.append(stepper.record(dt))
+            append(stepper.record(dt))
 
-    if trace[-1].step != stepper.step:
-        trace.append(stepper.record(last_dt))
+    if trace._buf[-_WIDTH] != stepper.step:
+        append(stepper.record(last_dt))
     return trace, stop
 
 
@@ -595,28 +630,35 @@ def run_flow(
 
 
 def write_trace_csv(trace: Iterable[TraceRecord], fh: IO[str]) -> None:
-    """Emit the trace with the fixed header, %.16e reals and LF line endings."""
+    """Emit any iterable of TraceRecord with the fixed header, %.16e reals and
+    LF line endings, formatting each row in one operation."""
+    if not isinstance(trace, Trace):
+        trace = Trace(trace)
     fh.write(TRACE_HEADER + "\n")
-    for rec in trace:
-        vals = [str(rec.step)] + [
-            format(getattr(rec, name), ".16e") for name in _TRACE_FIELDS[1:]
-        ]
-        fh.write(",".join(vals) + "\n")
+    fh.writelines(map(_CSV_ROW.__mod__, trace._rows()))
 
 
-def read_trace_csv(fh: IO[str]) -> list[TraceRecord]:
+def read_trace_csv(fh: IO[str]) -> Trace:
+    """Parse a trace CSV; a malformed row raises ValueError naming its line."""
     header = fh.readline().strip()
     if header != TRACE_HEADER:
         raise ValueError(f"unexpected trace header {header!r}")
-    out = []
-    for line in fh:
-        parts = line.strip().split(",")
-        out.append(
-            TraceRecord(int(parts[0]), *[float(x) for x in parts[1:]])
-        )
-    return out
+    trace = Trace()
+    for lineno, line in enumerate(fh, 2):
+        parts = line.split(",")
+        try:
+            if len(parts) != _WIDTH or abs(int(parts[0])) > 2**53:
+                raise ValueError(f"want {_WIDTH} fields, the step an integer up to 2**53")
+            trace._buf.extend(map(float, parts))
+        except ValueError as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from None
+    return trace
 
 
 def trace_column(trace: Sequence[TraceRecord], name: str) -> np.ndarray:
-    """Extract one trace field as an array (handy for tests and scripts)."""
-    return np.array([getattr(rec, name) for rec in trace], dtype=float)
+    """Copy one trace column out as a float64 array (handy for tests and scripts)."""
+    if name not in _TRACE_FIELDS:
+        raise AttributeError(f"trace has no column {name!r}")
+    if not isinstance(trace, Trace):
+        trace = Trace(trace)
+    return trace._table()[:, _TRACE_FIELDS.index(name)].copy()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvFlowError, DimensionMismatch
-from .flow import FlowConfig, FlowResult, TraceRecord, _drive
+from .flow import FlowConfig, FlowResult, _drive
 from .manifold import DiscreteManifold, _check_field, _laplacian, integrate, laplacian_apply
 
 __all__ = ["GaussState", "k_psi", "gauss_r", "run_gauss_flow"]
@@ -102,14 +102,10 @@ class _GaussStepper:
         self.u, self.t, self.step = u, self.t + dt, self.step + 1
         self._diagnose()
 
-    def record(self, dt: float) -> TraceRecord:
+    def record(self, dt: float) -> tuple[float, ...]:
         u, K = self.u, self.K
-        return TraceRecord(
-            step=self.step, t=self.t, dt=dt, r=self.r,
-            norm_err=(self.area - self.area0) / self.area0,
-            u_min=float(u.min()), u_max=float(u.max()),
-            f=self.f, R_min=float(K.min()), R_max=float(K.max()), res_linf=self.res,
-        )
+        return (self.step, self.t, dt, self.r, (self.area - self.area0) / self.area0,
+                u.min(), u.max(), self.f, K.min(), K.max(), self.res)
 
 
 def run_gauss_flow(

@@ -404,7 +404,7 @@ class _ScriptedStepper:
         self.step += 1
 
     def record(self, dt):
-        return flow.TraceRecord(self.step, self.t, dt, *[0.0] * 8)
+        return (self.step, self.t, dt, *[0.0] * 8)
 
 
 def test_drive_halves_clips_and_keeps_the_final_row():
@@ -503,6 +503,82 @@ def test_trace_column(circle64):
     assert rs[0] == res.trace[0].r
     with pytest.raises(AttributeError):
         trace_column(res.trace, "nope")
+
+
+# rows at the edges of the %.16e format: signed zero, the least subnormal,
+# the largest double, a tiny normal, negatives and a seven-digit step
+EDGE_ROWS = [
+    flow.TraceRecord(0, 0.0, 0.0, -1.5, -0.0, 5e-324, 1.7976931348623157e308, 1e-300,
+                     -2.5e-7, 3.141592653589793, 0.1),
+    flow.TraceRecord(10**6, 123.456, -1e-300, -5e-324, 2.220446049250313e-16,
+                     -1.7976931348623157e308, 1.0, 0.0, -0.0, -1e308, 7.0),
+]
+# what the row-by-row format(x, ".16e") writer printed for EDGE_ROWS
+EDGE_CSV = (
+    TRACE_HEADER + "\n"
+    "0,0.0000000000000000e+00,0.0000000000000000e+00,-1.5000000000000000e+00,"
+    "-0.0000000000000000e+00,4.9406564584124654e-324,1.7976931348623157e+308,"
+    "1.0000000000000000e-300,-2.4999999999999999e-07,3.1415926535897931e+00,"
+    "1.0000000000000001e-01\n"
+    "1000000,1.2345600000000000e+02,-1.0000000000000000e-300,-4.9406564584124654e-324,"
+    "2.2204460492503131e-16,-1.7976931348623157e+308,1.0000000000000000e+00,"
+    "0.0000000000000000e+00,-0.0000000000000000e+00,-1.0000000000000000e+308,"
+    "7.0000000000000000e+00\n"
+)
+
+
+@pytest.mark.parametrize("rows", [EDGE_ROWS, flow.Trace(EDGE_ROWS)], ids=["list", "Trace"])
+def test_trace_csv_golden_bytes(rows):
+    buf = io.StringIO()
+    write_trace_csv(rows, buf)
+    assert buf.getvalue() == EDGE_CSV
+    back = read_trace_csv(io.StringIO(EDGE_CSV))
+    assert back == EDGE_ROWS
+    assert [math.copysign(1.0, rec.norm_err) for rec in back] == [-1.0, 1.0]
+    assert [type(rec.step) for rec in back] == [int, int]
+
+
+def test_trace_is_a_read_only_sequence_of_rows():
+    rows = [flow.TraceRecord(k, 0.5 * k, 0.5, *[float(k + j) for j in range(8)])
+            for k in range(5)]
+    trace = flow.Trace(rows)
+    assert len(trace) == 5 and len(flow.Trace()) == 0
+    assert trace[1] == rows[1] and trace[-1] == rows[-1]
+    for i in (5, -6):
+        with pytest.raises(IndexError):
+            trace[i]
+    tail = trace[2:]
+    assert isinstance(tail, flow.Trace) and tail == rows[2:]
+    assert trace_column(tail, "t").tolist() == [1.0, 1.5, 2.0]
+    assert trace_column(trace[::2], "step").tolist() == [0.0, 2.0, 4.0]
+    assert all(type(rec) is flow.TraceRecord for rec in trace)
+    assert list(trace) == rows
+    assert trace == rows and rows == trace
+    assert trace != rows[:4] and rows[:4] != trace
+    assert trace == flow.Trace(rows) and trace != tail
+    with pytest.raises(AttributeError):
+        trace_column(trace, "nope")
+    with pytest.raises(AttributeError):
+        trace_column(rows, "nope")
+
+
+GOOD_ROW = "3," + ",".join(["1.0"] * 10) + "\n"
+
+
+@pytest.mark.parametrize("bad, lineno", [
+    ("1,2.0,3.0\n", 3),                            # 3 fields
+    (GOOD_ROW.rstrip("\n") + ",4.0\n", 3),           # 12 fields
+    ("\n", 3),                                     # a trailing blank line
+    ("1.5" + GOOD_ROW[1:], 3),                     # a step that is no integer
+    (GOOD_ROW.replace("1.0", "x", 1), 3),          # a real that is no number
+    (str(2**53 + 1) + GOOD_ROW[1:], 3),            # a step a float64 cannot hold
+    (GOOD_ROW + GOOD_ROW + "\n", 5),                # blank after two good rows
+], ids=["3-fields", "12-fields", "blank", "step-1.5", "real-x", "step-2**53+1",
+        "blank-line-5"])
+def test_read_trace_csv_names_the_line_of_a_malformed_row(bad, lineno):
+    text = TRACE_HEADER + "\n" + GOOD_ROW + bad
+    with pytest.raises(ValueError, match=rf"^trace line {lineno}: "):
+        read_trace_csv(io.StringIO(text))
 
 
 @settings(max_examples=20, deadline=None)
