@@ -22,8 +22,9 @@ and read_trace_csv give one, and a TraceRecord is built per row read.
 
 _drive is the package's one run loop: run_flow and gauss.run_gauss_flow
 hand it a stepper, and it owns stopping, budgets, dt halving and thinning.
-Every run is one start; spectral.relax_many runs its starts through
-run_flow one at a time, in order.
+A stepper keeps its state as plain attributes, and the run builds its one
+FlowState (GaussState) once, at the end.  Every run is one start;
+spectral.relax_many runs its starts through run_flow one by one, in order.
 
 Each formula of the flow is written once, as a private kernel on arrays
 that are already validated: R (_curvature), the checked constraint
@@ -256,7 +257,7 @@ def _curvature(
 def _integral(mass: np.ndarray, u: np.ndarray, p: float) -> tuple[float, np.ndarray]:
     """(\\int u^{p+1} dv, u^{p+1}); zero or non-finite raises ZeroDenominator."""
     upw = u ** (p + 1.0)
-    s = float(np.dot(upw, mass))
+    s = float(upw.dot(mass))
     if not 0 < abs(s) < math.inf:  # NaN fails too
         raise ZeroDenominator(f"constraint integral is {s}")
     return s, upw
@@ -284,12 +285,13 @@ def _project(
 def _diagnose(
     man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, c: float, p: float, r: float,
     upw: np.ndarray,
-) -> tuple[np.ndarray, float, float]:
-    """R, f = \\int (R - r)^2 u^{p+1} dv and the stationarity residual
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """R, R - r, f = \\int (R - r)^2 u^{p+1} dv and the stationarity residual
     max |u^p (R - r)|, given upw = u^{p+1}."""
     R = _curvature(man, u, psi, c, p)
     dev = R - r
-    return R, float(np.dot(dev * dev * upw, man.mass)), float(np.abs(upw / u * dev).max())
+    res = abs(upw / u * dev).max()  # abs(), unlike np.abs, reuses the temporary in place
+    return R, dev, float((dev * dev * upw).dot(man.mass)), float(res)
 
 
 def pseudo_scalar_curvature(
@@ -336,71 +338,65 @@ def f_diagnostic(
     u = _positive_field(man, u)
     psi = _check_field(man, psi, "psi")
     s, upw = _integral(man.mass, u, p)
-    return _diagnose(man, psi, u, c, p, _quotient(man, u, psi, c, s), upw)[1]
+    return _diagnose(man, psi, u, c, p, _quotient(man, u, psi, c, s), upw)[2]
 
 
 def _settle(
-    man: DiscreteManifold,
-    psi: np.ndarray,
-    state: FlowState,
-    dt: float,
-    unew: np.ndarray,
+    man: DiscreteManifold, psi: np.ndarray, unew: np.ndarray, dt: float, p: float, c: float,
     scheme: str,
-) -> tuple[FlowState, np.ndarray, float]:
-    """Check an accepted update of `state` and project it onto the constraint.
+) -> tuple[np.ndarray, float, float, np.ndarray, float]:
+    """Check an accepted update and project it onto the constraint.
 
     Checks the update once and forms u^{p+1} once per projection pass.
-    Returns (state, u^{p+1}, u.min()); the middle one is what _diagnose
-    needs.
+    Returns (u, r, norm_err, u^{p+1}, u.min()); the fourth is what
+    _diagnose needs.
     """
     m = float(unew.min())
     if m <= 0.0:
         raise StepRejectedPositivity(f"{scheme} step dt={dt:.3e} lost positivity")
     if math.isnan(m):
         raise NonPositiveField("u must be strictly positive everywhere")
-    u, u_min, upw, before, s = _project(man.mass, unew, m, state.p)
+    u, u_min, upw, before, s = _project(man.mass, unew, m, p)
     drift = s - 1.0
     if abs(drift) > 1e-13:
         raise CurvFlowError(f"projection left constraint drift {drift:.3e}")
-    r = _quotient(man, u, psi, state.c, s)
+    return u, _quotient(man, u, psi, c, s), before - 1.0, upw, u_min
+
+
+def _stepped(state: FlowState, dt: float, u: np.ndarray, r: float, norm_err: float, *_):
+    """The FlowState one step of dt after `state`, from what _settle returns."""
     return FlowState(u=u, t=state.t + dt, step=state.step + 1, p=state.p, c=state.c,
-                     r=r, norm_err=before - 1.0), upw, u_min
+                     r=r, norm_err=norm_err)
 
 
 def _explicit_update(
-    man: DiscreteManifold,
-    psi: np.ndarray,
-    state: FlowState,
-    dt: float,
-    R: np.ndarray,
-) -> tuple[FlowState, np.ndarray, float]:
-    # u^{1-p}(c Lap u - psi u) = -R u, so the update is u (1 + dt (r - R))
-    return _settle(man, psi, state, dt, state.u * (1.0 + dt * (state.r - R)), "explicit")
+    man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, dev: np.ndarray, dt: float,
+    p: float, c: float,
+) -> tuple[np.ndarray, float, float, np.ndarray, float]:
+    # u^{1-p}(c Lap u - psi u) = -R u, so the update is u (1 - dt (R - r)), written
+    # 1 + -dt dev: numpy reuses that temporary in place, and not that of 1 - array
+    return _settle(man, psi, u * (1.0 + -dt * dev), dt, p, c, "explicit")
 
 
 def step_explicit(
     man: DiscreteManifold, psi: np.ndarray, state: FlowState, dt: float
 ) -> FlowState:
     """One explicit Euler step followed by projection onto the constraint."""
-    psi = _check_field(man, psi, "psi")
-    R = _curvature(man, _positive_field(man, state.u), psi, state.c, state.p)
-    return _explicit_update(man, psi, state, float(dt), R)[0]
+    psi, u, dt = _check_field(man, psi, "psi"), _positive_field(man, state.u), float(dt)
+    dev = _curvature(man, u, psi, state.c, state.p) - state.r
+    return _stepped(state, dt, *_explicit_update(man, psi, u, dev, dt, state.p, state.c))
 
 
 def _imex_update(
-    man: DiscreteManifold,
-    psi: np.ndarray,
-    state: FlowState,
-    dt: float,
-) -> tuple[FlowState, np.ndarray, float]:
-    p, c = state.p, state.c
+    man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, r: float, dt: float, p: float, c: float
+) -> tuple[np.ndarray, float, float, np.ndarray, float]:
     mass = man.mass
-    w_old = state.u**p
+    w_old = u**p
     # (w+ - w)/dt = p (c Lap u+ - psi u+ + r w)  with u+ = (w+)^{1/p}, r
     # frozen; the chain-rule factor p keeps this on the same clock as the
     # u-form of the flow, so both schemes discretize one ODE
     pdt = p * dt
-    target = w_old * (1.0 + pdt * state.r)
+    target = w_old * (1.0 + pdt * r)
     scale = max(1.0, float(np.abs(target).max()))
     zero = np.zeros_like(w_old)
     w = w_old.copy()
@@ -429,7 +425,7 @@ def _imex_update(
             f"in {_NEWTON_MAX_ITER} iterations"
         )
     # u = w^{1/p} of the converged iterate
-    return _settle(man, psi, state, dt, u, "imex")
+    return _settle(man, psi, u, dt, p, c, "imex")
 
 
 def step_imex(
@@ -441,9 +437,8 @@ def step_imex(
     w+), the constraint-coupling term r w explicitly with r frozen at the
     step start; projection as in step_explicit.
     """
-    psi = _check_field(man, psi, "psi")
-    _positive_field(man, state.u)
-    return _imex_update(man, psi, state, float(dt))[0]
+    psi, u, dt = _check_field(man, psi, "psi"), _positive_field(man, state.u), float(dt)
+    return _stepped(state, dt, *_imex_update(man, psi, u, state.r, dt, state.p, state.c))
 
 
 def _stable_dt(
@@ -499,10 +494,12 @@ def _fit_decay_rate(trace: Trace, psi: np.ndarray) -> float | None:
 
 
 class _Stepper:
-    """run_flow's stepper for _drive; the scheme is picked once, here.  The
-    explicit step reuses the u_min and R that the trace row also shows.
-    The first graze of the shifted-curvature bound is a warning, later ones
-    are debug lines, so a grazing run does not flood stderr."""
+    """run_flow's stepper for _drive; the scheme is picked once, here.  Its
+    state is plain attributes, and the run builds its one FlowState at the
+    end, for FlowResult.final.  The explicit step reuses the u_min, R and
+    R - r that the trace row and f take.  The first graze of the shifted-
+    curvature bound is a warning, later ones are debug lines, so a grazing
+    run does not flood stderr."""
 
     def __init__(self, man: DiscreteManifold, psi: np.ndarray, u0: np.ndarray,
                  cfg: FlowConfig):
@@ -513,22 +510,22 @@ class _Stepper:
         u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), p)
         if u_min < 1e-10:
             raise IllConditionedInitialData(f"normalized initial field has min {u_min:.3e} < 1e-10")
-        self.man, self.psi = man, psi
-        self._enter(FlowState(u=u, t=0.0, step=0, p=p, c=c, r=_quotient(man, u, psi, c, s)),
-                    upw, u_min)
+        self.man, self.psi, self.p, self.c, self.t, self.step = man, psi, p, c, 0.0, 0
+        self._enter(u, _quotient(man, u, psi, c, s), 0.0, upw, u_min)
         self.sigma = sigma_shift(self.R)
         self._graze_level = logging.WARNING
+        # closures never over self, which would keep every stepper until the cycle collector runs
         if cfg.scheme == "imex":
-            self._update = lambda st, dt, R: _imex_update(man, psi, st, dt)
+            self._update = lambda u, r, dev, dt: _imex_update(man, psi, u, r, dt, p, c)
             self._dt = lambda u_min: cfg.dt0
         else:
-            self._update = lambda st, dt, R: _explicit_update(man, psi, st, dt, R)
+            self._update = lambda u, r, dev, dt: _explicit_update(man, psi, u, dev, dt, p, c)
             self._dt = lambda u_min: _stable_dt(man, u_min, p, c, cfg.safety, cfg.dt0)
 
-    def _enter(self, state: FlowState, upw: np.ndarray, u_min: float) -> None:
-        self.state, self.t, self.step, self.u_min = state, state.t, state.step, u_min
-        self.R, self.f, self.res = _diagnose(self.man, self.psi, state.u, state.c, state.p,
-                                             state.r, upw)
+    def _enter(self, u: np.ndarray, r: float, norm_err: float, upw: np.ndarray, u_min: float):
+        self.u, self.r, self.norm_err, self.u_min = u, r, norm_err, u_min
+        self.R, self.dev, self.f, self.res = _diagnose(self.man, self.psi, u, self.c, self.p,
+                                                       r, upw)
         if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
             raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")
         self.R_min = float(self.R.min())
@@ -538,7 +535,9 @@ class _Stepper:
 
     def advance(self, dt: float) -> None:
         # a rejected step raises inside _update, before any attribute changes
-        self._enter(*self._update(self.state, dt, self.R))
+        new = self._update(self.u, self.r, self.dev, dt)
+        self.t, self.step = self.t + dt, self.step + 1
+        self._enter(*new)
         sigma = self.sigma
         if self.R_min + sigma < 1.0 - 1e-6 * sigma:
             log.log(
@@ -549,9 +548,8 @@ class _Stepper:
             self._graze_level = logging.DEBUG
 
     def record(self, dt: float) -> tuple[float, ...]:
-        state, R = self.state, self.R
-        return (state.step, state.t, dt, state.r, state.norm_err, self.u_min, state.u.max(),
-                self.f, self.R_min, R.max(), self.res)
+        return (self.step, self.t, dt, self.r, self.norm_err, self.u_min, self.u.max(),
+                self.f, self.R_min, self.R.max(), self.res)
 
 
 def _drive(cfg: FlowConfig, stepper) -> tuple[Trace, str]:
@@ -563,19 +561,21 @@ def _drive(cfg: FlowConfig, stepper) -> tuple[Trace, str]:
     the trace row of its current state.  Rows are kept for step 0, every
     trace_every-th step and the final state.
     """
+    tol_f, tol_res, max_steps, t_max = cfg.tol_f, cfg.tol_res, cfg.max_steps, cfg.t_max
+    trace_every = cfg.trace_every
     trace = Trace()
     append = trace._buf.extend
     append(stepper.record(0.0))
     last_dt = 0.0
     while True:
-        if stepper.f <= cfg.tol_f and stepper.res <= cfg.tol_res:
+        if stepper.f <= tol_f and stepper.res <= tol_res:
             stop = STOP_CONVERGED
             break
-        if stepper.step >= cfg.max_steps:
+        if stepper.step >= max_steps:
             stop = STOP_MAX_STEPS
             break
-        remaining = cfg.t_max - stepper.t
-        if remaining <= 1e-14 * cfg.t_max:
+        remaining = t_max - stepper.t
+        if remaining <= 1e-14 * t_max:
             stop = STOP_TMAX
             break
         dt = stepper.dt()
@@ -591,7 +591,7 @@ def _drive(cfg: FlowConfig, stepper) -> tuple[Trace, str]:
             stop = STOP_POSITIVITY
             break
         last_dt = dt
-        if stepper.step % cfg.trace_every == 0:
+        if stepper.step % trace_every == 0:
             append(stepper.record(dt))
 
     if trace._buf[-_WIDTH] != stepper.step:
@@ -618,15 +618,12 @@ def run_flow(
     # overflow surfaces as a non-finite integral, f or residual, each of
     # which raises; one context for the run, not one per kernel call
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _Stepper(man, psi, u0, cfg)
-        trace, stop = _drive(cfg, stepper)
-    return FlowResult(
-        final=stepper.state,
-        trace=trace,
-        stop=stop,
-        r_infinity=stepper.state.r,
-        decay_rate=_fit_decay_rate(trace, psi),
-    )
+        s = _Stepper(man, psi, u0, cfg)
+        trace, stop = _drive(cfg, s)
+    # built once from the stepper's plain attributes, not on every step
+    final = FlowState(u=s.u, t=s.t, step=s.step, p=s.p, c=s.c, r=s.r, norm_err=s.norm_err)
+    return FlowResult(final=final, trace=trace, stop=stop, r_infinity=s.r,
+                      decay_rate=_fit_decay_rate(trace, psi))
 
 
 def write_trace_csv(trace: Iterable[TraceRecord], fh: IO[str]) -> None:

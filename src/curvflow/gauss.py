@@ -78,15 +78,15 @@ class _GaussStepper:
         self._safe_mass = cfg.safety * man._min_mass
 
     def _diagnose(self) -> None:
-        man, u = self.man, self.u
+        man, u, mass = self.man, self.u, self.man.mass
         w = np.exp(2.0 * u)
-        self.area = integrate(man, w)
+        self.area = float(mass.dot(w))  # integrate(man, w) without its check
         self.r = r = self.psi_total / self.area
         lap = _laplacian(man, u)
         self.K = K = _curvature(lap, self.psi, w)
         dev = K - r
-        self.f = float(np.dot(man.mass, dev * dev * w))
-        self.res = float(np.max(np.abs(lap - self.psi + r * w)))
+        self.f = float(mass.dot(dev * dev * w))
+        self.res = float(abs(lap - self.psi + r * w).max())
         if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
             raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")
 
@@ -97,7 +97,7 @@ class _GaussStepper:
     def advance(self, dt: float) -> None:
         # e^{-2u} (Lap u - psi) + r = r - K
         u = self.u + dt * (self.r - self.K)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise CurvFlowError(f"flow blew up at step {self.step + 1}")
         self.u, self.t, self.step = u, self.t + dt, self.step + 1
         self._diagnose()

@@ -16,7 +16,10 @@ first r) and _solve, the SPD solve for c S + diag(d) (imex Newton, lambda1).
 _solve stops at a relative residual its caller may loosen: the imex Newton
 corrections pass a forcing tolerance, lambda1 keeps the default 1e-13.
 Only the oracle assembles the operator, into its bordered Jacobian.  A
-change to the discretization touches this file only.
+change to the discretization touches this file only.  Every S x goes
+through _matvec, scipy's csr_matvec kernel called directly: it is what
+S @ x runs after a dispatch that costs twice the kernel at N = 128.  The
+kernel checks no bounds, so _matvec keeps the shape check.
 
 Constructions: periodic circles (second-order differences), closed surfaces
 from OFF files (P1 FEM: cotangent S, barycentric lumped M), and product(a, b),
@@ -36,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import (
     CurvFlowError,
@@ -131,21 +135,31 @@ def _check_field(man: DiscreteManifold, f: np.ndarray, name: str = "field") -> n
     return f
 
 
+def _matvec(man: DiscreteManifold, x: np.ndarray) -> np.ndarray:
+    """S x, bit for bit what S @ x gives for an (N,) float64 x."""
+    S, n = man.stiffness, man.node_count
+    if x.shape != (n,):  # the kernel would read past the end of a short x
+        raise SizeMismatch(f"field has shape {x.shape}, expected ({n},)")
+    y = np.zeros(n)
+    csr_matvec(n, n, S.indptr, S.indices, S.data, x, y)
+    return y
+
+
 def _laplacian(man: DiscreteManifold, u: np.ndarray) -> np.ndarray:
     """-M^{-1} S u for a field that is already checked."""
-    return -(man.stiffness @ u) / man.mass
+    return -_matvec(man, u) / man.mass
 
 
 def _edge_energy(man: DiscreteManifold, u: np.ndarray) -> float:
     """sum_e w_e (u_i - u_j)^2 for a field that is already checked."""
     ei, ej, w = man._edges
     d = u.take(ei) - u.take(ej)  # take gathers in half the time of u[ei] at N = 10^6
-    return float(np.dot(d * d, w))
+    return float(np.square(d, out=d).dot(w))  # squared in place: no second edge array
 
 
 def _apply(man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float) -> np.ndarray:
     """-c Lap(u) + psi u = c M^{-1} S u + psi u for fields that are already checked."""
-    return c * ((man.stiffness @ u) / man.mass) + psi * u
+    return c * (_matvec(man, u) / man.mass) + psi * u
 
 
 def _quotient(
@@ -154,7 +168,7 @@ def _quotient(
     """(c u^T S u + \\int psi u^2) / denom, with u^T S u summed over edges as
     w_e (u_i - u_j)^2, so it stays accurate (and nonnegative for psi >= 0)
     even when u is within roundoff of a constant."""
-    return (c * _edge_energy(man, u) + float(np.dot(psi * u * u, man.mass))) / denom
+    return (c * _edge_energy(man, u) + float((psi * u * u).dot(man.mass))) / denom
 
 
 # Jacobi-PCG: relative residual target and iteration cap
@@ -171,35 +185,34 @@ def _solve(
     assembled.  Raises InnerSolverFailure for a diagonal that is not positive
     (NaN included), a direction p with p^T K p <= 0 (the matrix is not SPD)
     or a stall."""
-    S = man.stiffness
     diag = c * man._stiffness_diagonal + d
     if not np.all(diag > 0):
         raise InnerSolverFailure("operator diagonal is not positive")
     # sqrt(b.b) is what np.linalg.norm computes for a 1-D real array
-    tol = rtol * math.sqrt(float(np.dot(b, b)))
+    tol = rtol * math.sqrt(float(b.dot(b)))
     if tol == 0.0:
         return np.zeros_like(b)
     x = x0.copy()
-    r = b - (c * (S @ x) + d * x)
+    r = b - (c * _matvec(man, x) + d * x)
     z = r / diag
     p = z.copy()
-    rz = float(np.dot(r, z))
+    rz = float(r.dot(z))
     for _ in range(_PCG_MAX_ITER):
-        rnorm = math.sqrt(float(np.dot(r, r)))
+        rnorm = math.sqrt(float(r.dot(r)))
         if rnorm <= tol:
             return x
-        Kp = c * (S @ p) + d * p
-        pKp = float(np.dot(p, Kp))
+        Kp = c * _matvec(man, p) + d * p
+        pKp = float(p.dot(Kp))
         if not pKp > 0:
             raise InnerSolverFailure("operator is not positive definite")
         alpha = rz / pKp
         x += alpha * p
         r -= alpha * Kp
         z = r / diag
-        rz_new = float(np.dot(r, z))
+        rz_new = float(r.dot(z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    rnorm = math.sqrt(float(np.dot(r, r)))
+    rnorm = math.sqrt(float(r.dot(r)))
     if rnorm <= 10 * tol:
         return x
     raise InnerSolverFailure(f"PCG stalled at residual {rnorm:.3e} (target {tol:.3e})")
@@ -208,7 +221,7 @@ def _solve(
 def integrate(man: DiscreteManifold, f: np.ndarray) -> float:
     """Mass-weighted sum, the discrete integral of f over the manifold."""
     f = _check_field(man, f)
-    return float(np.dot(man.mass, f))
+    return float(man.mass.dot(f))
 
 
 def dirichlet_energy(man: DiscreteManifold, u: np.ndarray) -> float:

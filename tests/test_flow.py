@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import io
 import logging
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy import sparse
 from curvflow import flow
 from curvflow.cli import preset_manifold, preset_u0
 from curvflow.elliptic import newton_constrained
+from curvflow.gauss import run_gauss_flow
 from curvflow.errors import (
     ConfigError,
     IllConditionedInitialData,
@@ -639,9 +642,11 @@ def _assert_near(got, want):
     assert u_min == state.u.min()
 
 
-def _through_kernels(man, psi, state, dt, update, *args):
-    new, upw, u_min = update(man, psi, state, dt, *args)
-    R, f, res = flow._diagnose(man, psi, new.u, new.c, new.p, new.r, upw)
+def _through_kernels(man, psi, state, dt, update, arg):
+    # arg is R - r for the explicit update and r for the imex one
+    settled = update(man, psi, state.u, arg, dt, state.p, state.c)
+    new, (upw, u_min) = flow._stepped(state, dt, *settled), settled[3:]
+    R, _, f, res = flow._diagnose(man, psi, new.u, new.c, new.p, new.r, upw)
     return new, R, f, res, u_min
 
 
@@ -695,7 +700,7 @@ def test_explicit_kernel_matches_public_helpers(mesh, request):
     dt = 0.2 * ref.stable_dt(man, state.u, 3.0, 1.0, 0.25, None)
     want = ref.explicit(man, psi, 1.0, 3.0, state.u, state.t, state.step, dt)
     R0 = flow._curvature(man, state.u, psi, 1.0, 3.0)
-    got = _through_kernels(man, psi, state, dt, flow._explicit_update, R0)
+    got = _through_kernels(man, psi, state, dt, flow._explicit_update, R0 - state.r)
     _assert_bitwise(got, want)
     public = step_explicit(man, psi, state, dt)
     assert np.array_equal(public.u, want.u) and public.r == want.r
@@ -706,7 +711,7 @@ def test_imex_kernel_matches_assembled_newton(mesh, request):
     man = request.getfixturevalue(mesh)
     psi, state = _kernel_case(man)
     dt = 1e-2
-    got = _through_kernels(man, psi, state, dt, flow._imex_update)
+    got = _through_kernels(man, psi, state, dt, flow._imex_update, state.r)
     public = step_imex(man, psi, state, dt)
     assert np.array_equal(public.u, got[0].u) and public.r == got[0].r
     assert public.norm_err == got[0].norm_err
@@ -759,6 +764,32 @@ def test_run_loop_first_row_matches_public_helpers(scheme, circle128):
         _assert_near((res.final, R, row.f, row.res_linf, row.u_min), want)
 
 
+@pytest.mark.parametrize("kind", ["explicit", "imex", "gauss"])
+def test_a_finished_run_leaves_no_reference_cycle(kind, circle64, torus2d):
+    # with the cycle collector off, the final field dies with the result:
+    # nothing of the run (a stepper, a closure over it) is left in a cycle
+    # that would hold its fields until the collector ran
+    if kind == "gauss":
+        psi = 0.3 * np.cos(torus2d.coordinates[:, 0])
+        def run():
+            return run_gauss_flow(torus2d, psi, np.zeros(torus2d.node_count),
+                                  FlowConfig(max_steps=20))
+    else:
+        def run():
+            return run_flow(circle64, -np.ones(64), lognormal_field(circle64, 0),
+                            FlowConfig(scheme=kind, dt0=1e-3, max_steps=20))
+    gc.collect()
+    gc.disable()
+    try:
+        res = run()
+        assert res.final.step == 20
+        final_u = weakref.ref(res.final.u)
+        del res
+        assert final_u() is None
+    finally:
+        gc.enable()
+
+
 def test_imex_thm2_golden_run():
     # imex thm2 at dt 1e-3 from the preset start, against the run recorded
     # while every Newton correction was solved to 1e-13: the inexact solves
@@ -776,7 +807,7 @@ def test_settle_checks_fire(circle64):
     psi, state = _kernel_case(man)
 
     def settle(unew):
-        return flow._settle(man, psi, state, 1e-3, unew, "explicit")
+        return flow._settle(man, psi, unew, 1e-3, state.p, state.c, "explicit")
 
     bad = state.u.copy()
     bad[5] = np.nan

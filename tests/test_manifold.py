@@ -15,8 +15,10 @@ from curvflow.errors import (
     NonTriangleFace,
     SizeMismatch,
 )
+from curvflow import manifold as manifold_module
 from curvflow.manifold import (
     _PCG_RTOL,
+    _matvec,
     _solve,
     DiscreteManifold,
     build_torus_grid,
@@ -380,6 +382,43 @@ def test_off_unreadable_file_is_format_error(tmp_path):
     binary.write_bytes(b"OFF\n\xff\xfe\x00\x01")
     with pytest.raises(MeshFormatError):
         load_off_mesh(str(binary))
+
+
+# --- S x through scipy's CSR kernel ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mesh_times_circle(octahedron):
+    return product(octahedron, circle(7, 3.0))
+
+
+@pytest.mark.parametrize("mesh", ["circle128", "torus2d", "flat_icosphere3",
+                                  "mesh_times_circle"])
+def test_matvec_is_bitwise_the_scipy_product(mesh, request):
+    # flat_icosphere3 has negative cotangent weights; the product mixes a
+    # mesh's S with a circle's
+    man = request.getfixturevalue(mesh)
+    n = man.node_count
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal(2 * n)
+    fields = [rng.standard_normal(n), 1e3 * np.exp(rng.standard_normal(n)), np.ones(n),
+              wide[::2], wide[::-2], np.zeros(n)]
+    assert not fields[3].flags.c_contiguous and not fields[4].flags.c_contiguous
+    for x in fields:
+        got = _matvec(man, x)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == (man.stiffness @ x).tobytes()
+
+
+def test_matvec_rejects_a_misshaped_field_before_the_kernel(circle64, monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the kernel ran on a misshaped field")
+
+    monkeypatch.setattr(manifold_module, "csr_matvec", kernel)
+    for x in (np.ones(3), np.ones(63), np.ones(65), np.ones((64, 1)), np.ones((1, 64)),
+              np.float64(1.0)):
+        with pytest.raises(SizeMismatch, match="expected \\(64,\\)"):
+            _matvec(circle64, x)
 
 
 # --- the SPD solve for c S + diag(d) ----------------------------------------
