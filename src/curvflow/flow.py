@@ -290,8 +290,7 @@ def _diagnose(
     max |u^p (R - r)|, given upw = u^{p+1}."""
     R = _curvature(man, u, psi, c, p)
     dev = R - r
-    res = abs(upw / u * dev).max()  # abs(), unlike np.abs, reuses the temporary in place
-    return R, dev, float((dev * dev * upw).dot(man.mass)), float(res)
+    return R, dev, float((dev * dev * upw).dot(man.mass)), float(abs(upw / u * dev).max())
 
 
 def pseudo_scalar_curvature(
@@ -373,8 +372,8 @@ def _explicit_update(
     man: DiscreteManifold, psi: np.ndarray, u: np.ndarray, dev: np.ndarray, dt: float,
     p: float, c: float,
 ) -> tuple[np.ndarray, float, float, np.ndarray, float]:
-    # u^{1-p}(c Lap u - psi u) = -R u, so the update is u (1 - dt (R - r)), written
-    # 1 + -dt dev: numpy reuses that temporary in place, and not that of 1 - array
+    # u^{1-p}(c Lap u - psi u) = -R u, so the update is u (1 + dt (r - R)), the same
+    # bits as 1 + -dt dev; from 32768 nodes up numpy adds into that temporary in place
     return _settle(man, psi, u * (1.0 + -dt * dev), dt, p, c, "explicit")
 
 
@@ -495,11 +494,10 @@ def _fit_decay_rate(trace: Trace, psi: np.ndarray) -> float | None:
 
 class _Stepper:
     """run_flow's stepper for _drive; the scheme is picked once, here.  Its
-    state is plain attributes, and the run builds its one FlowState at the
-    end, for FlowResult.final.  The explicit step reuses the u_min, R and
-    R - r that the trace row and f take.  The first graze of the shifted-
-    curvature bound is a warning, later ones are debug lines, so a grazing
-    run does not flood stderr."""
+    state is plain attributes; run_flow builds the one FlowState at the end.
+    The explicit step reuses the u_min, R and R - r that the trace row and f
+    take.  The first graze of the shifted-curvature bound is a warning, later
+    ones are debug lines, so a grazing run does not flood stderr."""
 
     def __init__(self, man: DiscreteManifold, psi: np.ndarray, u0: np.ndarray,
                  cfg: FlowConfig):
@@ -620,7 +618,6 @@ def run_flow(
     with np.errstate(over="ignore", invalid="ignore"):
         s = _Stepper(man, psi, u0, cfg)
         trace, stop = _drive(cfg, s)
-    # built once from the stepper's plain attributes, not on every step
     final = FlowState(u=s.u, t=s.t, step=s.step, p=s.p, c=s.c, r=s.r, norm_err=s.norm_err)
     return FlowResult(final=final, trace=trace, stop=stop, r_infinity=s.r,
                       decay_rate=_fit_decay_rate(trace, psi))

@@ -78,14 +78,14 @@ class _GaussStepper:
         self._safe_mass = cfg.safety * man._min_mass
 
     def _diagnose(self) -> None:
-        man, u, mass = self.man, self.u, self.man.mass
+        man, u = self.man, self.u
         w = np.exp(2.0 * u)
-        self.area = float(mass.dot(w))  # integrate(man, w) without its check
+        self.area = integrate(man, w)
         self.r = r = self.psi_total / self.area
         lap = _laplacian(man, u)
         self.K = K = _curvature(lap, self.psi, w)
         dev = K - r
-        self.f = float(mass.dot(dev * dev * w))
+        self.f = float(man.mass.dot(dev * dev * w))
         self.res = float(abs(lap - self.psi + r * w).max())
         if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
             raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")

@@ -16,10 +16,9 @@ first r) and _solve, the SPD solve for c S + diag(d) (imex Newton, lambda1).
 _solve stops at a relative residual its caller may loosen: the imex Newton
 corrections pass a forcing tolerance, lambda1 keeps the default 1e-13.
 Only the oracle assembles the operator, into its bordered Jacobian.  A
-change to the discretization touches this file only.  Every S x goes
-through _matvec, scipy's csr_matvec kernel called directly: it is what
-S @ x runs after a dispatch that costs twice the kernel at N = 128.  The
-kernel checks no bounds, so _matvec keeps the shape check.
+change to the discretization touches this file only.  _matvec forms every
+S x with scipy's csr_matvec kernel, skipping S @ x's dispatch (twice the
+kernel's cost at N = 128); the kernel checks no bounds, so _matvec checks x.
 
 Constructions: periodic circles (second-order differences), closed surfaces
 from OFF files (P1 FEM: cotangent S, barycentric lumped M), and product(a, b),
@@ -71,7 +70,7 @@ class DiscreteManifold:
     surfaces).  `dim` is the intrinsic dimension.  Instances are safe to
     share between concurrent readers; nothing mutates them after
     construction, which raises CurvFlowError unless every mass is finite and
-    positive and every stored stiffness entry is finite.
+    positive and the stiffness is an N x N float64 CSR matrix of finite entries.
     """
 
     coordinates: np.ndarray
@@ -83,8 +82,12 @@ class DiscreteManifold:
         # min and max allocate no temporaries, and a NaN anywhere propagates into both
         if not 0 < self.mass.min() <= self.mass.max() < math.inf:
             raise CurvFlowError("mass vector must be finite and strictly positive")
-        S = self.stiffness.data
-        if not -math.inf < S.min(initial=0.0) <= S.max(initial=0.0) < math.inf:
+        S, n = self.stiffness, self.mass.shape[0]
+        if not (sparse.issparse(S) and S.format == "csr" and S.dtype == np.float64):
+            raise CurvFlowError("stiffness matrix must be float64 CSR, the arrays _matvec takes")
+        if S.shape != (n, n):
+            raise SizeMismatch(f"stiffness has shape {S.shape}, expected ({n}, {n})")
+        if not -math.inf < S.data.min(initial=0.0) <= S.data.max(initial=0.0) < math.inf:
             raise CurvFlowError("stiffness matrix has an entry that is not finite")
 
     @property
@@ -154,7 +157,7 @@ def _edge_energy(man: DiscreteManifold, u: np.ndarray) -> float:
     """sum_e w_e (u_i - u_j)^2 for a field that is already checked."""
     ei, ej, w = man._edges
     d = u.take(ei) - u.take(ej)  # take gathers in half the time of u[ei] at N = 10^6
-    return float(np.square(d, out=d).dot(w))  # squared in place: no second edge array
+    return float((d * d).dot(w))
 
 
 def _apply(man: DiscreteManifold, u: np.ndarray, psi: np.ndarray, c: float) -> np.ndarray:

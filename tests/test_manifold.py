@@ -78,6 +78,13 @@ def test_hand_built_manifold_is_checked():
         T.data[2] = bad
         with pytest.raises(CurvFlowError, match="stiffness"):
             DiscreteManifold(coordinates=np.zeros((4, 1)), mass=np.ones(4), stiffness=T, dim=1)
+    # _matvec hands S's arrays to a kernel that checks neither their type nor their bounds
+    for T in (S.tocsc(), S.tocoo(), S.astype(np.float32), S.astype(np.int64), S.toarray()):
+        with pytest.raises(CurvFlowError, match="float64 CSR"):
+            DiscreteManifold(coordinates=np.zeros((4, 1)), mass=np.ones(4), stiffness=T, dim=1)
+    with pytest.raises(SizeMismatch, match=r"stiffness has shape \(8, 8\), expected \(4, 4\)"):
+        DiscreteManifold(coordinates=np.zeros((4, 1)), mass=np.ones(4),
+                         stiffness=circle(8).stiffness, dim=1)
 
 
 def _grid_gaps(counts, lengths):
