@@ -23,8 +23,10 @@ and read_trace_csv give one, and a TraceRecord is built per row read.
 _drive is the package's one run loop: run_flow and gauss.run_gauss_flow
 hand it a stepper, and it owns stopping, budgets, dt halving and thinning.
 A stepper keeps its state as plain attributes, and the run builds its one
-FlowState (GaussState) once, at the end.  Every run is one start;
-spectral.relax_many runs its starts through run_flow one by one, in order.
+FlowState (GaussState) once, at the end.  Every per-step min and max is
+manifold._min or _max, the reduction's value at a third of its fixed cost at
+N = 128.  Every run is one start; spectral.relax_many runs its starts
+through run_flow one by one, in order.
 
 Each formula of the flow is written once, as a private kernel on arrays
 that are already validated: R (_curvature), the checked constraint
@@ -63,7 +65,9 @@ from .errors import (
     StepRejectedPositivity,
     ZeroDenominator,
 )
-from .manifold import _PCG_RTOL, DiscreteManifold, _apply, _check_field, _quotient, _solve
+from .manifold import (
+    _PCG_RTOL, DiscreteManifold, _apply, _check_field, _max, _min, _quotient, _solve,
+)
 
 __all__ = [
     "FlowState",
@@ -290,7 +294,7 @@ def _diagnose(
     max |u^p (R - r)|, given upw = u^{p+1}."""
     R = _curvature(man, u, psi, c, p)
     dev = R - r
-    return R, dev, float((dev * dev * upw).dot(man.mass)), float(abs(upw / u * dev).max())
+    return R, dev, float((dev * dev * upw).dot(man.mass)), _max(abs(upw / u * dev))
 
 
 def pseudo_scalar_curvature(
@@ -350,7 +354,7 @@ def _settle(
     Returns (u, r, norm_err, u^{p+1}, u.min()); the fourth is what
     _diagnose needs.
     """
-    m = float(unew.min())
+    m = _min(unew)
     if m <= 0.0:
         raise StepRejectedPositivity(f"{scheme} step dt={dt:.3e} lost positivity")
     if math.isnan(m):
@@ -396,13 +400,13 @@ def _imex_update(
     # u-form of the flow, so both schemes discretize one ODE
     pdt = p * dt
     target = w_old * (1.0 + pdt * r)
-    scale = max(1.0, float(np.abs(target).max()))
+    scale = max(1.0, _max(np.abs(target)))
     zero = np.zeros_like(w_old)
     w = w_old.copy()
     for _ in range(_NEWTON_MAX_ITER):
         u = w ** (1.0 / p)
         F = w + pdt * _apply(man, u, psi, c) - target
-        F_max = float(np.abs(F).max())
+        F_max = _max(np.abs(F))
         if F_max <= _NEWTON_TOL * scale:
             break
         rtol = max(_PCG_RTOL, min(1e-2, _FORCING * _NEWTON_TOL * scale / F_max))
@@ -416,7 +420,7 @@ def _imex_update(
             # not SPD at this dt; as dt -> 0 the matrix tends to diag(M / (du/dw))
             raise StepRejectedPositivity(f"imex Newton matrix at dt={dt:.3e}: {exc}") from exc
         w = w + y * dwdu
-        if w.min() <= 0.0:
+        if _min(w) <= 0.0:
             raise StepRejectedPositivity(f"imex Newton iterate lost positivity at dt={dt:.3e}")
     else:
         raise NewtonNoConvergence(
@@ -461,8 +465,8 @@ def adaptive_dt(
     Clamped to [1e-12, dt_max]; dt_max is the configured dt0 when called
     from the run loop.
     """
-    umin = float(state.u.min())
-    if umin <= 0:
+    umin = _min(state.u)
+    if not umin > 0:  # NaN fails too
         raise NonPositiveField("state field must be positive")
     return _stable_dt(man, umin, state.p, state.c, safety, dt_max)
 
@@ -526,7 +530,7 @@ class _Stepper:
                                                        r, upw)
         if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
             raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")
-        self.R_min = float(self.R.min())
+        self.R_min = _min(self.R)
 
     def dt(self) -> float:
         return self._dt(self.u_min)
@@ -546,8 +550,8 @@ class _Stepper:
             self._graze_level = logging.DEBUG
 
     def record(self, dt: float) -> tuple[float, ...]:
-        return (self.step, self.t, dt, self.r, self.norm_err, self.u_min, self.u.max(),
-                self.f, self.R_min, self.R.max(), self.res)
+        return (self.step, self.t, dt, self.r, self.norm_err, self.u_min, _max(self.u),
+                self.f, self.R_min, _max(self.R), self.res)
 
 
 def _drive(cfg: FlowConfig, stepper) -> tuple[Trace, str]:

@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import CurvFlowError, DimensionMismatch
 from .flow import FlowConfig, FlowResult, _drive
-from .manifold import DiscreteManifold, _check_field, _laplacian, integrate, laplacian_apply
+from .manifold import (
+    DiscreteManifold, _check_field, _laplacian, _max, _min, integrate, laplacian_apply,
+)
 
 __all__ = ["GaussState", "k_psi", "gauss_r", "run_gauss_flow"]
 
@@ -86,12 +88,12 @@ class _GaussStepper:
         self.K = K = _curvature(lap, self.psi, w)
         dev = K - r
         self.f = float(man.mass.dot(dev * dev * w))
-        self.res = float(abs(lap - self.psi + r * w).max())
+        self.res = _max(abs(lap - self.psi + r * w))
         if not (self.f < math.inf and self.res < math.inf):  # NaN fails too
             raise CurvFlowError(f"f = {self.f}, res = {self.res}: not finite at step {self.step}")
 
     def dt(self) -> float:
-        stable = self._safe_mass * float(np.exp(2.0 * self.u.min())) / self._smax
+        stable = self._safe_mass * float(np.exp(2.0 * _min(self.u))) / self._smax
         return min(self._dt0, stable)
 
     def advance(self, dt: float) -> None:
@@ -105,7 +107,7 @@ class _GaussStepper:
     def record(self, dt: float) -> tuple[float, ...]:
         u, K = self.u, self.K
         return (self.step, self.t, dt, self.r, (self.area - self.area0) / self.area0,
-                u.min(), u.max(), self.f, K.min(), K.max(), self.res)
+                _min(u), _max(u), self.f, _min(K), _max(K), self.res)
 
 
 def run_gauss_flow(

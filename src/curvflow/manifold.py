@@ -19,6 +19,11 @@ Only the oracle assembles the operator, into its bordered Jacobian.  A
 change to the discretization touches this file only.  _matvec forms every
 S x with scipy's csr_matvec kernel, skipping S @ x's dispatch (twice the
 kernel's cost at N = 128); the kernel checks no bounds, so _matvec checks x.
+The run loops' per-step extrema (flow's and gauss's steppers, the imex Newton
+loop, _solve's diagonal check) are _min and _max: x[x.argmin()] costs 0.3 us at
+N = 128 against 1.0 us for the reduction x.min(), and a zero extreme falls back
+to x.min(), so value, sign and NaN are the reduction's.  _edges keeps intp
+indices, so take() converts no int32 index array per call.
 
 Constructions: periodic circles (second-order differences), closed surfaces
 from OFF files (P1 FEM: cotangent S, barycentric lumped M), and product(a, b),
@@ -108,7 +113,7 @@ class DiscreteManifold:
         # Used for cancellation-free evaluation of the Dirichlet energy.
         S = self.stiffness.tocoo()
         upper = S.row < S.col  # what sparse.triu(S, k=1) keeps, without a second COO matrix
-        return S.row[upper], S.col[upper], -S.data[upper]
+        return S.row[upper].astype(np.intp), S.col[upper].astype(np.intp), -S.data[upper]
 
     @cached_property
     def _stiffness_diagonal(self) -> np.ndarray:
@@ -127,6 +132,18 @@ class DiscreteManifold:
         with np.errstate(over="ignore"):  # inf for a box too large to square
             spans = self.coordinates.max(axis=0) - self.coordinates.min(axis=0)
             return float(np.sqrt(np.sum(spans**2)))
+
+
+def _min(x: np.ndarray) -> float:
+    """float(x.min()) by index; a zero takes x.min(), which alone signs a -0.0/0.0 tie."""
+    m = x[x.argmin()]
+    return float(x.min()) if m == 0.0 else float(m)
+
+
+def _max(x: np.ndarray) -> float:
+    """float(x.max()) by index, as _min."""
+    m = x[x.argmax()]
+    return float(x.max()) if m == 0.0 else float(m)
 
 
 def _check_field(man: DiscreteManifold, f: np.ndarray, name: str = "field") -> np.ndarray:
@@ -189,7 +206,7 @@ def _solve(
     (NaN included), a direction p with p^T K p <= 0 (the matrix is not SPD)
     or a stall."""
     diag = c * man._stiffness_diagonal + d
-    if not np.all(diag > 0):
+    if not _min(diag) > 0:
         raise InnerSolverFailure("operator diagonal is not positive")
     # sqrt(b.b) is what np.linalg.norm computes for a 1-D real array
     tol = rtol * math.sqrt(float(b.dot(b)))

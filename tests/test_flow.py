@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ def test_adaptive_dt_properties(circle64):
     assert adaptive_dt(circle64, shrunk, 0.2) == pytest.approx(0.25 * base, rel=1e-12)
     assert adaptive_dt(circle64, state, 0.2, dt_max=base / 7.0) == base / 7.0
     assert adaptive_dt(circle64, state, 1e-30) == 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, -1.0])
+def test_adaptive_dt_rejects_a_field_that_is_not_positive(bad):
+    # a NaN in u is not positive either, for adaptive_dt as for step_explicit
+    man = circle(8)
+    u = np.ones(8)
+    u[5] = bad
+    state = flow.FlowState(u=u, t=0.0, step=0, p=3.0, c=1.0, r=0.0)
+    with pytest.raises(NonPositiveField):
+        adaptive_dt(man, state, 0.25)
+    with pytest.raises(NonPositiveField):
+        step_explicit(man, np.zeros(8), state, 1e-3)
 
 
 def test_explicit_long_run_no_rejection(circle64):
@@ -762,6 +776,44 @@ def test_run_loop_first_row_matches_public_helpers(scheme, circle128):
         assert (row.step, row.dt) == (1, dt)
         want = ref.imex(man, psi, 1.0, 3.0, u, 0.0, 0, dt)
         _assert_near((res.final, R, row.f, row.res_linf, row.u_min), want)
+
+
+def _reference_rows(man, psi, u0, cfg, steps):
+    """The trace rows of an explicit run from reference_flow, each extremum
+    from numpy's own min and max, and the reference's final field."""
+    p, c = cfg.p, cfg.c
+    u = ref.normalize(man, u0, p)
+    state = SimpleNamespace(u=u, t=0.0, step=0, r=ref.rayleigh(man, u, psi, c, p), norm_err=0.0,
+                            R=ref.curvature(man, u, psi, c, p), f=ref.decay(man, u, psi, c, p),
+                            res=ref.residual(man, u, psi, c, p))
+    rows, dt = [], 0.0
+    while True:
+        rows.append((state.step, state.t, dt, state.r, state.norm_err, state.u.min(),
+                     state.u.max(), state.f, state.R.min(), state.R.max(), state.res))
+        if state.step == steps:
+            return np.array(rows), state.u
+        dt = ref.stable_dt(man, state.u, p, c, cfg.safety, cfg.dt0)
+        state = ref.explicit(man, psi, c, p, state.u, state.t, state.step, dt)
+
+
+@pytest.mark.parametrize("mesh,start", [("circle128", "lognormal"), ("torus2d", "lognormal"),
+                                        ("octahedron", "lognormal"), ("bipyramid", "lognormal"),
+                                        ("circle128", "constant")])
+def test_run_loop_rows_match_the_reference_bit_for_bit(mesh, start, request):
+    # every row of 40 explicit steps, not just the first; bipyramid has
+    # negative cotangent weights.  A constant start at psi = 0 has R = 0.0
+    # exactly, so its row takes the zero fallback of manifold._min / _max
+    man = request.getfixturevalue(mesh)
+    if start == "constant":
+        psi, u0, steps = np.zeros(man.node_count), np.ones(man.node_count), 0
+    else:
+        psi, u0, steps = -1.0 + 0.3 * np.cos(man.coordinates[:, 0]), lognormal_field(man, 2), 40
+    cfg = FlowConfig(max_steps=40)
+    res = run_flow(man, psi, u0, cfg)
+    want, u = _reference_rows(man, psi, u0, cfg, steps)
+    assert len(res.trace) == steps + 1
+    assert res.trace._table().tobytes() == want.tobytes()
+    assert res.final.u.tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["explicit", "imex", "gauss"])

@@ -19,6 +19,8 @@ from curvflow import manifold as manifold_module
 from curvflow.manifold import (
     _PCG_RTOL,
     _matvec,
+    _max,
+    _min,
     _solve,
     DiscreteManifold,
     build_torus_grid,
@@ -426,6 +428,60 @@ def test_matvec_rejects_a_misshaped_field_before_the_kernel(circle64, monkeypatc
               np.float64(1.0)):
         with pytest.raises(SizeMismatch, match="expected \\(64,\\)"):
             _matvec(circle64, x)
+
+
+# --- index-based extrema and the edge list -----------------------------------
+
+
+def _extrema_cases():
+    rng = np.random.default_rng(9)
+    nan, inf, tiny = math.nan, math.inf, 5e-324
+    ties = [np.full(131, -0.0) for _ in range(3)]
+    for tie, at in zip(ties, (0, 65, 130)):
+        tie[at] = 0.0
+    return [
+        np.exp(rng.standard_normal(128)), rng.standard_normal(128),
+        np.array([nan, 1.0, -2.0]), np.array([1.0, nan, -2.0]), np.array([1.0, -2.0, nan]),
+        np.array([1.0, inf, -inf]), np.array([inf, inf]), np.array([-inf, -inf]),
+        np.array([tiny, -tiny, 1e-310, -1e-310]), np.array([tiny, 2 * tiny]),
+        np.arange(40.0)[::-3], rng.standard_normal((6, 7))[:, 2],
+        np.array([0.0, -0.0]), np.array([-0.0, 0.0]), *ties,
+        np.array([-1.0, -1.0, -1.0, -0.0, 0.0]), np.array([1.0, 0.0, -0.0, 1.0]),
+        np.array([-0.0]), np.array([0.0]),
+    ]
+
+
+def _same_float(a, b):
+    if math.isnan(b):
+        return math.isnan(a)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("x", _extrema_cases())
+def test_index_extrema_are_the_reductions_bit_for_bit(x):
+    # value, sign bit (a -0.0 / 0.0 tie) and NaN-ness of ndarray.min / max
+    for got, want in ((_min(x), x.min()), (_max(x), x.max())):
+        assert type(got) is float
+        assert _same_float(got, float(want)), (x, got, want)
+
+
+@pytest.mark.parametrize("mesh", ["torus2d", "torus3d", "bipyramid"])
+def test_edges_are_intp_and_keep_the_energy_bit_for_bit(mesh, request):
+    # the edge sum over sparse.triu's own int32 indices, in its order
+    if mesh == "torus3d":
+        man = build_torus_grid([6, 5, 4], [1.0, 2.5, 3.0])
+    else:
+        man = request.getfixturevalue(mesh)
+    ei, ej, w = man._edges
+    assert ei.dtype == ej.dtype == np.intp
+    T = sparse.triu(man.stiffness, k=1).tocoo()
+    assert T.row.dtype == T.col.dtype == np.int32
+    rng = np.random.default_rng(4)
+    n = man.node_count
+    for u in (rng.standard_normal(n), 1.0 + 1e-9 * rng.standard_normal(n), np.ones(n)):
+        d = u.take(T.row) - u.take(T.col)
+        want = float((d * d).dot(-T.data))
+        assert dirichlet_energy(man, u).hex() == want.hex()
 
 
 # --- the SPD solve for c S + diag(d) ----------------------------------------
