@@ -12,6 +12,10 @@ Exit codes: 0 on a completed run (Converged / TmaxReached / MaxSteps),
 after printing every row), 1 on usage, parse or input errors.  The
 CURVFLOW_LOG environment variable (quiet|info|debug) sets log verbosity.
 Identical command line + seed gives byte-identical trace files.
+
+--preset NAME stands for the flag values in PRESETS[NAME]; flags given
+on the command line win over them, and a preset that fixes the manifold
+takes no --torus or --off.
 """
 
 from __future__ import annotations
@@ -38,41 +42,18 @@ class CliUsageError(CurvFlowError):
     pass
 
 
-# Frozen presets.  thm2: strictly negative constant potential, where the
-# flow settles at the constant field with r_inf = -sqrt(volume) for p = 3.
-# thm3: zero potential, where r decays exponentially to zero.  Both live
-# on the circle of circumference 2*pi with 128 nodes.
+# Frozen presets.  Each is the flag values it stands for, keyed by argparse
+# dest, and thm3 also names its start field as an expression over x1..xn
+# (other runs start from the seeded log-normal field).  thm2: strictly
+# negative constant potential, where the flow settles at the constant field
+# with r_inf = -sqrt(volume) for p = 3.  thm3: zero potential, where r decays
+# exponentially to zero.  Both live on the circle of circumference 2*pi with
+# 128 nodes and keep the default p = 3 and c = 1.
+_CIRCLE = f"128:{2.0 * math.pi!r}"  # repr parses back to 2*pi exactly
 PRESETS = {
-    "thm2": {
-        "counts": [128],
-        "lengths": [2.0 * math.pi],
-        "psi": "-1",
-        "p": 3.0,
-        "c": 1.0,
-        "u0": "random",
-    },
-    "thm3": {
-        "counts": [128],
-        "lengths": [2.0 * math.pi],
-        "psi": "0",
-        "p": 3.0,
-        "c": 1.0,
-        "u0": "bump",
-    },
+    "thm2": {"torus": _CIRCLE, "psi": "-1"},
+    "thm3": {"torus": _CIRCLE, "psi": "0", "start": "1 + 0.5*cos(x1)"},
 }
-
-
-def preset_manifold(name: str) -> DiscreteManifold:
-    spec = PRESETS[name]
-    return build_torus_grid(spec["counts"], spec["lengths"])
-
-
-def preset_u0(name: str, man: DiscreteManifold, seed: int) -> np.ndarray:
-    kind = PRESETS[name]["u0"]
-    if kind == "random":
-        return spectral.lognormal_field(man, seed)
-    x = man.coordinates[:, 0]
-    return 1.0 + 0.5 * np.cos(x)
 
 
 def _setup_logging() -> None:
@@ -103,7 +84,7 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     """The manifold and potential flags that every subcommand takes."""
     p.add_argument("--torus", help="periodic grid as N:L[,N:L...]; with --off, the mesh times it")
     p.add_argument("--off", help="path to an OFF surface mesh")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="frozen named setup")
+    p.add_argument("--preset", choices=sorted(PRESETS), help="frozen named flag values")
     p.add_argument("--psi", help="potential expression over x1..xn")
 
 
@@ -121,8 +102,8 @@ def _add_budget_args(p: argparse.ArgumentParser, dt0: float) -> None:
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     _add_problem_args(p)
-    p.add_argument("--p", type=float, default=None, help="nonlinearity exponent (> 1)")
-    p.add_argument("--c", default=None,
+    p.add_argument("--p", type=float, default=3.0, help="nonlinearity exponent (> 1)")
+    p.add_argument("--c", default="1",
                    help="diffusion coefficient, or 'auto' for 4(n-1)/(n-2) (n >= 3)")
     p.add_argument("--scheme", choices=["explicit", "imex"], default="explicit")
     _add_budget_args(p, dt0=1e-2)
@@ -130,11 +111,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_manifold(args) -> DiscreteManifold:
-    """--preset's manifold; else --off's mesh, --torus's grid, or with both their product."""
-    if args.preset:
-        if args.torus or args.off:
-            raise CliUsageError("--preset already fixes the manifold")
-        return preset_manifold(args.preset)
+    """--off's mesh, --torus's grid, or with both their product."""
     if not (args.torus or args.off):
         raise CliUsageError("specify a manifold via --torus, --off or --preset")
     factors = [load_off_mesh(args.off)] if args.off else []
@@ -152,10 +129,8 @@ def build_manifold(args) -> DiscreteManifold:
     return reduce(product, factors)
 
 
-def resolve_c(raw, man: DiscreteManifold, default: float) -> float:
-    if raw is None:
-        return default
-    if isinstance(raw, str) and raw.strip().lower() == "auto":
+def resolve_c(raw: str, man: DiscreteManifold) -> float:
+    if raw.strip().lower() == "auto":
         if man.dim < 3:
             raise CliUsageError(
                 f"--c auto needs manifold dimension >= 3, got {man.dim}"
@@ -171,22 +146,13 @@ def resolve_c(raw, man: DiscreteManifold, default: float) -> float:
 
 
 def resolve_problem(args) -> tuple[DiscreteManifold, np.ndarray, float, float]:
-    """Manifold, psi, p and c of a subcommand, in that order.
-
-    Flags win; a --preset fills in what they leave unset.  Subcommands
-    without --p or --c get the preset's value or the default (3 and 1).
-    """
+    """Manifold, psi, p and c of a subcommand, in that order; eigen and
+    gauss, which lack --p (and gauss --c), get the defaults 3 and 1."""
     man = build_manifold(args)
-    preset = PRESETS.get(args.preset, {})
-    psi_text = args.psi if args.psi is not None else preset.get("psi")
-    if psi_text is None:
+    if args.psi is None:
         raise CliUsageError("specify --psi (or a --preset that fixes it)")
-    psi = evaluate(parse(psi_text), man)
-    p = getattr(args, "p", None)
-    if p is None:
-        p = preset.get("p", 3.0)
-    c = resolve_c(getattr(args, "c", None), man, default=preset.get("c", 1.0))
-    return man, psi, p, c
+    psi = evaluate(parse(args.psi), man)
+    return man, psi, getattr(args, "p", 3.0), resolve_c(getattr(args, "c", "1"), man)
 
 
 def _flow_config(args, **fields) -> flow.FlowConfig:
@@ -220,14 +186,12 @@ def _traced(path: str | None, run) -> flow.FlowResult:
 
 
 def _flow_run(args) -> tuple[DiscreteManifold, np.ndarray, flow.FlowConfig, flow.FlowResult]:
-    """The flow of run and oracle: from the preset's start or the seeded
+    """The flow of run and oracle: from the preset's start field or the seeded
     log-normal field, with its trace written to --out."""
     man, psi, p, c = resolve_problem(args)
     cfg = _flow_config(args, scheme=args.scheme, p=p, c=c)
-    if args.preset:
-        u0 = preset_u0(args.preset, man, args.seed)
-    else:
-        u0 = spectral.lognormal_field(man, args.seed)
+    start = getattr(args, "start", None)
+    u0 = evaluate(parse(start), man) if start else spectral.lognormal_field(man, args.seed)
     return man, psi, cfg, _traced(args.out, lambda: flow.run_flow(man, psi, u0, cfg))
 
 
@@ -298,7 +262,8 @@ def cmd_sweep(args) -> int:
     return 2 if failed else 0
 
 
-def _build_parser() -> _Parser:
+def _build_parser(preset: dict) -> _Parser:
+    """The parser, with the preset's values as every subcommand's defaults."""
     top = _Parser(prog="curvflow", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
@@ -309,7 +274,7 @@ def _build_parser() -> _Parser:
 
     p_eigen = sub.add_parser("eigen", help="ground eigenvalue of the potential")
     _add_problem_args(p_eigen)
-    p_eigen.add_argument("--c", default=None)
+    p_eigen.add_argument("--c", default="1")
     p_eigen.set_defaults(func=cmd_eigen)
 
     p_oracle = sub.add_parser("oracle", help="flow limit vs constrained Newton")
@@ -326,14 +291,27 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--starts", type=int, default=8)
     p_sweep.set_defaults(func=cmd_sweep)
 
+    for p in sub.choices.values():
+        p.set_defaults(**preset)
     return top
+
+
+def _parse_args(argv: list[str] | None):
+    """argv parsed once, then again with --preset's values as defaults, so
+    the flags given win over the preset's."""
+    args = _build_parser({}).parse_args(argv)
+    if not args.preset:
+        return args
+    preset = PRESETS[args.preset]
+    if preset.keys() & {"torus", "off"} and (args.torus or args.off):
+        raise CliUsageError("--preset already fixes the manifold")
+    return _build_parser(preset).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except (CurvFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .manifold import DiscreteManifold, _apply, _check_field, _quotient, integra
 __all__ = ["NewtonResult", "newton_constrained", "residual_linf"]
 
 _TOL = 1e-12  # Newton's target for max(|field defect|_inf, |constraint|)
+_MAX_ITER = 50  # Newton iterations before NewtonNoConvergence
 
 
 @dataclass
@@ -59,7 +60,6 @@ def newton_constrained(
     c: float,
     p: float,
     u_init: np.ndarray,
-    max_iter: int = 50,
 ) -> NewtonResult:
     """Damped Newton for the constrained stationary pair (u, r).
 
@@ -67,7 +67,7 @@ def newton_constrained(
     halved until the combined residual max(|field defect|_inf, |constraint|)
     decreases and the iterate stays positive; running out of halvings with
     positivity as the obstacle raises PositivityLost, anything else that
-    stalls (or exceeding max_iter) raises NewtonNoConvergence.
+    stalls (or exceeding _MAX_ITER) raises NewtonNoConvergence.
     """
     u = _check_field(man, u_init, "u_init")
     if not np.all(u > 0):
@@ -90,7 +90,7 @@ def newton_constrained(
     fnorm = _fnorm(F1, F2)
     history = [fnorm]
 
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         if fnorm <= _TOL:
             return NewtonResult(u=u, r=r, iterations=it, residual=fnorm,
                                 fnorm_history=history)
@@ -135,8 +135,8 @@ def newton_constrained(
             )
 
     if fnorm <= _TOL:
-        return NewtonResult(u=u, r=r, iterations=max_iter, residual=fnorm,
+        return NewtonResult(u=u, r=r, iterations=_MAX_ITER, residual=fnorm,
                             fnorm_history=history)
     raise NewtonNoConvergence(
-        f"residual {fnorm:.3e} after {max_iter} iterations (tol {_TOL:.1e})"
+        f"residual {fnorm:.3e} after {_MAX_ITER} iterations (tol {_TOL:.1e})"
     )

@@ -233,7 +233,7 @@ def _solve(
         p = z + (rz_new / rz) * p
         rz = rz_new
     rnorm = math.sqrt(float(r.dot(r)))
-    if rnorm <= 10 * tol:
+    if rnorm <= tol:
         return x
     raise InnerSolverFailure(f"PCG stalled at residual {rnorm:.3e} (target {tol:.3e})")
 

@@ -91,8 +91,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             bad = pos + len(rest) - len(rest.lstrip())
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup is None:
-            break
         tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     return tokens

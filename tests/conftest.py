@@ -49,6 +49,11 @@ def circle(n, length=TWO_PI):
     return build_torus_grid([n], [length])
 
 
+def bump(man):
+    """The thm3 preset's start field, 1 + 0.5 cos(x1)."""
+    return 1.0 + 0.5 * np.cos(man.coordinates[:, 0])
+
+
 def make_icosphere(depth):
     """Icosahedron subdivided depth times, vertices projected to the unit
     sphere.  Returns (vertices, faces) with 0-based indices."""

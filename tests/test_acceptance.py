@@ -14,14 +14,13 @@ import pytest
 from scipy import sparse
 import scipy.linalg as sla
 
-from curvflow.cli import preset_manifold, preset_u0
 from curvflow.elliptic import newton_constrained
 from curvflow.flow import FlowConfig, normalize, run_flow, trace_column
 from curvflow.gauss import run_gauss_flow
 from curvflow.manifold import build_torus_grid, integrate
 from curvflow.spectral import estimate_Y, lambda1, lognormal_field
 
-from conftest import TWO_PI, circle
+from conftest import TWO_PI, bump, circle
 
 SQRT_2PI = np.sqrt(TWO_PI)
 U_CONST = TWO_PI**-0.25
@@ -70,7 +69,7 @@ def timed_run(man, psi, u0, cfg):
 
 @pytest.fixture(scope="module")
 def man128():
-    return preset_manifold("thm2")
+    return circle(128)
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +77,13 @@ def thm2_runs(man128):
     psi = -np.ones(128)
     out = []
     for seed in range(5):
-        out.append(timed_run(man128, psi, preset_u0("thm2", man128, seed), preset_cfg()))
+        out.append(timed_run(man128, psi, lognormal_field(man128, seed), preset_cfg()))
     return out
 
 
 @pytest.fixture(scope="module")
 def thm3_bump(man128):
-    return timed_run(man128, np.zeros(128), preset_u0("thm3", man128, 0), preset_cfg())
+    return timed_run(man128, np.zeros(128), bump(man128), preset_cfg())
 
 
 @pytest.fixture(scope="module")
@@ -99,16 +98,16 @@ def thm3_random_runs(man128):
 @pytest.fixture(scope="module")
 def imex_runs(man128):
     cfg = preset_cfg(scheme="imex", dt0=1e-3)
-    two = timed_run(man128, -np.ones(128), preset_u0("thm2", man128, 0), cfg)
+    two = timed_run(man128, -np.ones(128), lognormal_field(man128, 0), cfg)
     cfg = preset_cfg(scheme="imex", dt0=1e-3)
-    three = timed_run(man128, np.zeros(128), preset_u0("thm3", man128, 0), cfg)
+    three = timed_run(man128, np.zeros(128), bump(man128), cfg)
     return two, three
 
 
 @pytest.fixture(scope="module")
 def imex_fine_thm2(man128):
     cfg = preset_cfg(scheme="imex", dt0=1e-4)
-    return timed_run(man128, -np.ones(128), preset_u0("thm2", man128, 0), cfg)
+    return timed_run(man128, -np.ones(128), lognormal_field(man128, 0), cfg)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from curvflow import cli, flow, gauss
 from curvflow.flow import TRACE_HEADER
 
-from conftest import OCTAHEDRON_OFF, make_icosphere, write_off
+from conftest import OCTAHEDRON_OFF, bump, circle, make_icosphere, write_off
 
 TWO_PI_STR = "6.283185307179586"
 
@@ -130,6 +131,48 @@ def test_oracle_preset_thm2(tmp_path):
     assert len(lines) > 2
     r_last = float(lines[-1].split(",")[3])
     assert r_last == pytest.approx(float(field(res.stdout, "r_flow")), rel=1e-9)
+
+
+def _main(capsys, *argv):
+    """cli.main in process: its exit code and stdout, with nothing on stderr."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out
+
+
+def test_preset_thm2_is_its_flags(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CURVFLOW_LOG", raising=False)
+    preset, flags = tmp_path / "preset.csv", tmp_path / "flags.csv"
+    got = _main(capsys, "run", "--preset", "thm2", "--out", str(preset))
+    want = _main(capsys, "run", "--torus", f"128:{TWO_PI_STR}", "--psi", "-1",
+                 "--out", str(flags))
+    assert got == want
+    assert preset.read_bytes() == flags.read_bytes()
+
+
+def test_preset_thm3_starts_from_the_bump(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CURVFLOW_LOG", raising=False)
+    out = tmp_path / "thm3.csv"
+    assert _main(capsys, "run", "--preset", "thm3", "--out", str(out))[0] == 0
+    man = circle(128)
+    result = flow.run_flow(man, np.zeros(128), bump(man), flow.FlowConfig())
+    want = io.StringIO(newline="")
+    flow.write_trace_csv(result.trace, want)
+    assert out.read_bytes() == want.getvalue().encode()
+
+
+def test_every_preset_field_is_read():
+    # a preset names flags (by argparse dest) of a subcommand that takes
+    # --preset, or the start field of run and oracle; nothing else is read
+    parser = cli._build_parser({})
+    dests = {"start"}
+    for command in ("run", "eigen", "oracle", "gauss", "sweep"):
+        names = vars(parser.parse_args([command]))
+        if "preset" in names:
+            dests |= set(names) - {"command", "func"}
+    for name, preset in cli.PRESETS.items():
+        assert set(preset) <= dests, name
 
 
 @pytest.mark.parametrize("argv", [

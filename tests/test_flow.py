@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from curvflow import flow
-from curvflow.cli import preset_manifold, preset_u0
 from curvflow.elliptic import newton_constrained
 from curvflow.gauss import run_gauss_flow
 from curvflow.errors import (
@@ -846,8 +845,8 @@ def test_imex_thm2_golden_run():
     # imex thm2 at dt 1e-3 from the preset start, against the run recorded
     # while every Newton correction was solved to 1e-13: the inexact solves
     # keep its step count and stop, and r_inf within IMEX_RTOL
-    man = preset_manifold("thm2")
-    res = run_flow(man, -np.ones(128), preset_u0("thm2", man, 0),
+    man = circle(128)
+    res = run_flow(man, -np.ones(128), lognormal_field(man, 0),
                    FlowConfig(scheme="imex", dt0=1e-3))
     assert (res.stop, res.final.step) == (STOP_CONVERGED, 2418)
     golden = -2.5066282746309994

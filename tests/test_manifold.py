@@ -547,3 +547,23 @@ def test_solve_rejects_what_is_not_spd(circle64):
     # a positive diagonal, but constants have a negative quadratic form
     with pytest.raises(InnerSolverFailure, match="positive definite"):
         _solve(man, 1.0, -0.5 * s, b, np.zeros(64))
+
+
+def test_solve_accepts_only_at_its_tolerance(torus2d, monkeypatch):
+    # PCG that runs out of iterations raises: with the cap this solve needs
+    # it returns the uncapped answer, with one fewer it raises, though its
+    # residual then (5.5e-12) is within 10x of the target (3.2e-12)
+    man = torus2d
+    n = man.node_count
+    b = np.random.default_rng(5).standard_normal(n)
+    calls = []
+    matvec = manifold_module._matvec
+    monkeypatch.setattr(manifold_module, "_matvec",
+                        lambda m, x: calls.append(1) or matvec(m, x))
+    want = _solve(man, 1.0, man.mass, b, np.zeros(n))
+    needed = len(calls) - 1  # one matvec for the start residual, then one per iteration
+    monkeypatch.setattr(manifold_module, "_PCG_MAX_ITER", needed)
+    assert np.array_equal(_solve(man, 1.0, man.mass, b, np.zeros(n)), want)
+    monkeypatch.setattr(manifold_module, "_PCG_MAX_ITER", needed - 1)
+    with pytest.raises(InnerSolverFailure, match="PCG stalled"):
+        _solve(man, 1.0, man.mass, b, np.zeros(n))
