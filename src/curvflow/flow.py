@@ -30,8 +30,9 @@ through run_flow one by one, in order.
 
 Each formula of the flow is written once, as a private kernel on arrays
 that are already validated: R (_curvature), the checked constraint
-integral (_integral), the two-pass projection (_project), and f with the
-residual (_diagnose), each on one (N,) field.  The public helpers validate
+integral (_integral), the projection (_project: two passes, stopping at an
+identity pass, so the entry points copy a field it hands back unscaled), and f
+with the residual (_diagnose), each on one (N,) field.  The public helpers validate
 and call them, and the run loop's _settle is built from them, so a run
 composes the arithmetic the helpers expose.  The operator -c Lap + psi
 comes from the manifold module, as its strong form (_apply) and as its
@@ -273,13 +274,17 @@ def _project(
     """Scale u onto \\int u^{p+1} dv = 1 in two passes, carrying u_min = u.min().
 
     The second pass removes the O(eps) residue the rounded (p+1)-th root
-    leaves behind.  Returns (u, u.min(), u^{p+1}, the integral before, after).
+    leaves behind.  A pass whose scale k is exactly 1.0 ends the loop: u / k,
+    u_min / k and the re-integral are identities, and the entry points copy a
+    u handed back unscaled.  Returns (u, u.min(), u^{p+1}, the integral before, after).
     """
     e = 1.0 / (p + 1.0)
     s, upw = _integral(mass, u, p)
     before = s
     for _ in range(2):
         k = s**e
+        if k == 1.0:
+            break
         u = u / k
         u_min = u_min / k  # rounding is monotone, so this is exactly u.min()
         s, upw = _integral(mass, u, p)
@@ -316,7 +321,8 @@ def rayleigh_r(
 def normalize(man: DiscreteManifold, u: np.ndarray, p: float) -> np.ndarray:
     """Scale u so the constraint integral \\int u^{p+1} dv equals 1 within a few ulps."""
     u = _positive_field(man, u)
-    return _project(man.mass, u, float(u.min()), p)[0]
+    out = _project(man.mass, u, float(u.min()), p)[0]
+    return out.copy() if out is u else out
 
 
 def make_flow_state(
@@ -401,7 +407,7 @@ def _imex_update(
     pdt = p * dt
     target = w_old * (1.0 + pdt * r)
     scale = max(1.0, _max(np.abs(target)))
-    zero = np.zeros_like(w_old)
+    pdt_psi, neg_mass = pdt * psi, -mass
     w = w_old.copy()
     for _ in range(_NEWTON_MAX_ITER):
         u = w ** (1.0 / p)
@@ -415,7 +421,7 @@ def _imex_update(
         # (pdt A + diag(M / (du/dw))) y = -M F, with 1 / (du/dw) = p u^{p-1}
         dwdu = p * u ** (p - 1.0)
         try:
-            y = _solve(man, pdt * c, mass * (pdt * psi + dwdu), -mass * F, zero, rtol)
+            y = _solve(man, pdt * c, mass * (pdt_psi + dwdu), neg_mass * F, None, rtol)
         except InnerSolverFailure as exc:
             # not SPD at this dt; as dt -> 0 the matrix tends to diag(M / (du/dw))
             raise StepRejectedPositivity(f"imex Newton matrix at dt={dt:.3e}: {exc}") from exc
@@ -510,6 +516,7 @@ class _Stepper:
         u0 = _positive_field(man, u0)
         # normalize and make_flow_state, keeping the u^{p+1} and u.min() they discard
         u, u_min, upw, _, s = _project(man.mass, u0, float(u0.min()), p)
+        u = u.copy() if u is u0 else u  # u0 may be normalized already
         if u_min < 1e-10:
             raise IllConditionedInitialData(f"normalized initial field has min {u_min:.3e} < 1e-10")
         self.man, self.psi, self.p, self.c, self.t, self.step = man, psi, p, c, 0.0, 0

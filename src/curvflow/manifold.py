@@ -8,19 +8,20 @@ that
     dirichlet_energy(u) ~ u^T S u                   ~ \\int |grad u|^2 dv
     laplacian_apply(u)  = -M^{-1} S u               ~ Laplace-Beltrami of u
 
-This module alone writes the discretization's operators.  -c Lap + psi
-comes in three forms: the strong form _apply (the flow's R and imex
-residual, lambda1's and the oracle's residuals), the edge-form quotient
-_quotient (the flow's r, energy_E, lambda1's eigenvalue, the oracle's
-first r) and _solve, the SPD solve for c S + diag(d) (imex Newton, lambda1).
-_solve stops at a relative residual its caller may loosen: the imex Newton
-corrections pass a forcing tolerance, lambda1 keeps the default 1e-13.
-Only the oracle assembles the operator, into its bordered Jacobian.  A
-change to the discretization touches this file only.  _matvec forms every
-S x with scipy's csr_matvec kernel, skipping S @ x's dispatch (twice the
-kernel's cost at N = 128); the kernel checks no bounds, so _matvec checks x.
-The run loops' per-step extrema (flow's and gauss's steppers, the imex Newton
-loop, _solve's diagonal check) are _min and _max: x[x.argmin()] costs 0.3 us at
+This module alone writes the discretization's operators.  -c Lap + psi comes in
+three forms: the strong form _apply (the flow's R and imex residual, lambda1's
+and the oracle's residuals), the edge-form quotient _quotient (the flow's r,
+energy_E, lambda1's eigenvalue, the oracle's first r) and _solve, the SPD solve
+for c S + diag(d) (imex Newton, lambda1).  _solve stops at a relative residual
+its caller may loosen: the imex Newton corrections pass a forcing tolerance and
+start from zero (x0 = None, whose residual is b with no matvec), lambda1 keeps
+1e-13 and starts from its iterate.  Only the oracle assembles the operator,
+into its bordered Jacobian.  A change to the discretization touches this file
+only.  _matvec forms every S x with scipy's csr_matvec kernel, skipping S @ x's
+dispatch (twice the kernel's cost at N = 128), reading n and S's arrays from
+the cached _csr at once; the kernel checks no bounds, so _matvec checks x.  The
+run loops' per-step extrema (flow's and gauss's steppers, the imex Newton loop,
+_solve's diagonal check) are _min and _max: x[x.argmin()] costs 0.3 us at
 N = 128 against 1.0 us for the reduction x.min(), and a zero extreme falls back
 to x.min(), so value, sign and NaN are the reduction's.  _edges keeps intp
 indices, so take() converts no int32 index array per call.
@@ -116,6 +117,11 @@ class DiscreteManifold:
         return S.row[upper].astype(np.intp), S.col[upper].astype(np.intp), -S.data[upper]
 
     @cached_property
+    def _csr(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        S = self.stiffness
+        return S.shape[0], S.indptr, S.indices, S.data
+
+    @cached_property
     def _stiffness_diagonal(self) -> np.ndarray:
         return self.stiffness.diagonal()
 
@@ -157,11 +163,11 @@ def _check_field(man: DiscreteManifold, f: np.ndarray, name: str = "field") -> n
 
 def _matvec(man: DiscreteManifold, x: np.ndarray) -> np.ndarray:
     """S x, bit for bit what S @ x gives for an (N,) float64 x."""
-    S, n = man.stiffness, man.node_count
+    n, indptr, indices, data = man._csr
     if x.shape != (n,):  # the kernel would read past the end of a short x
         raise SizeMismatch(f"field has shape {x.shape}, expected ({n},)")
     y = np.zeros(n)
-    csr_matvec(n, n, S.indptr, S.indices, S.data, x, y)
+    csr_matvec(n, n, indptr, indices, data, x, y)
     return y
 
 
@@ -197,14 +203,15 @@ _PCG_MAX_ITER = 20000
 
 
 def _solve(
-    man: DiscreteManifold, c: float, d: np.ndarray, b: np.ndarray, x0: np.ndarray,
+    man: DiscreteManifold, c: float, d: np.ndarray, b: np.ndarray, x0: np.ndarray | None,
     rtol: float = _PCG_RTOL,
 ) -> np.ndarray:
     """Solve (c S + diag(d)) x = b by Jacobi-preconditioned CG from x0 to
     residual rtol |b|, with the matvec c (S x) + d x, so the sum is never
-    assembled.  Raises InnerSolverFailure for a diagonal that is not positive
-    (NaN included), a direction p with p^T K p <= 0 (the matrix is not SPD)
-    or a stall."""
+    assembled; x0 = None starts at zero with residual b, bit for bit b - (c S 0
+    + d 0) for c >= 0 and finite d (a d of +inf raises at p^T K p either way).
+    Raises InnerSolverFailure for a diagonal that is not positive (NaN
+    included), a direction p with p^T K p <= 0 (the matrix is not SPD) or a stall."""
     diag = c * man._stiffness_diagonal + d
     if not _min(diag) > 0:
         raise InnerSolverFailure("operator diagonal is not positive")
@@ -212,8 +219,8 @@ def _solve(
     tol = rtol * math.sqrt(float(b.dot(b)))
     if tol == 0.0:
         return np.zeros_like(b)
-    x = x0.copy()
-    r = b - (c * _matvec(man, x) + d * x)
+    x = np.zeros_like(b) if x0 is None else x0.copy()
+    r = b.copy() if x0 is None else b - (c * _matvec(man, x) + d * x)
     z = r / diag
     p = z.copy()
     rz = float(r.dot(z))

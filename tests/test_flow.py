@@ -151,6 +151,23 @@ def test_normalize_idempotent_and_scale_free(circle128):
     assert abs(integrate(circle128, n1**4.0) - 1.0) <= 1e-15
 
 
+def test_normalize_of_a_normalized_field_is_a_new_array(circle128):
+    # the projection stops at its identity pass here, and normalize copies
+    u = normalize(circle128, lognormal_field(circle128, 2), 3.0)
+    before = u.copy()
+    out = normalize(circle128, u, 3.0)
+    assert out is not u and out.tobytes() == u.tobytes()
+    out[0] = 7.0
+    assert u.tobytes() == before.tobytes()
+
+
+def test_run_from_a_normalized_start_does_not_hand_back_the_start(circle64):
+    u0 = normalize(circle64, lognormal_field(circle64, 1), 3.0)
+    res = run_flow(circle64, -np.ones(64), u0, FlowConfig(max_steps=0))
+    assert res.final.step == 0
+    assert res.final.u is not u0 and res.final.u.tobytes() == u0.tobytes()
+
+
 def test_normalize_rejects_nonpositive(circle64):
     u = np.ones(64)
     u[0] = 0.0
@@ -797,22 +814,35 @@ def _reference_rows(man, psi, u0, cfg, steps):
 
 @pytest.mark.parametrize("mesh,start", [("circle128", "lognormal"), ("torus2d", "lognormal"),
                                         ("octahedron", "lognormal"), ("bipyramid", "lognormal"),
-                                        ("circle128", "constant")])
-def test_run_loop_rows_match_the_reference_bit_for_bit(mesh, start, request):
+                                        ("circle128", "constant"),
+                                        ("circle128", "near-stationary")])
+def test_run_loop_rows_match_the_reference_bit_for_bit(mesh, start, request, monkeypatch):
     # every row of 40 explicit steps, not just the first; bipyramid has
     # negative cotangent weights.  A constant start at psi = 0 has R = 0.0
-    # exactly, so its row takes the zero fallback of manifold._min / _max
+    # exactly, so its row takes the zero fallback of manifold._min / _max.
+    # The near-stationary start drifts off the constraint by less than
+    # rounding, so its projections stop at the identity pass; the tolerances
+    # keep it from converging at step 0
     man = request.getfixturevalue(mesh)
+    x = man.coordinates[:, 0]
     if start == "constant":
         psi, u0, steps = np.zeros(man.node_count), np.ones(man.node_count), 0
+    elif start == "near-stationary":
+        psi, u0, steps = -np.ones(man.node_count), normalize(man, 1.0 + 1e-9 * np.cos(x), 3.0), 40
     else:
-        psi, u0, steps = -1.0 + 0.3 * np.cos(man.coordinates[:, 0]), lognormal_field(man, 2), 40
-    cfg = FlowConfig(max_steps=40)
+        psi, u0, steps = -1.0 + 0.3 * np.cos(x), lognormal_field(man, 2), 40
+    cfg = FlowConfig(max_steps=40, tol_f=1e-300, tol_res=1e-300)
+    integrals = []
+    integral = flow._integral
+    monkeypatch.setattr(flow, "_integral", lambda *a: integrals.append(1) or integral(*a))
     res = run_flow(man, psi, u0, cfg)
     want, u = _reference_rows(man, psi, u0, cfg, steps)
     assert len(res.trace) == steps + 1
     assert res.trace._table().tobytes() == want.tobytes()
     assert res.final.u.tobytes() == u.tobytes()
+    # one integral before each projection and one after each pass it takes
+    if start == "near-stationary":
+        assert len(integrals) < 3 * (steps + 1), "no projection took the identity exit"
 
 
 @pytest.mark.parametrize("kind", ["explicit", "imex", "gauss"])

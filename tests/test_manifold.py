@@ -534,6 +534,29 @@ def test_solve_matches_dense_solver(mesh, kind, request):
     assert np.array_equal(_solve(man, c, d, np.zeros(n), b), np.zeros(n))
 
 
+@pytest.mark.parametrize("mesh", ["circle128", "torus2d", "octahedron"])
+def test_solve_from_none_is_the_zero_start_bit_for_bit(mesh, request):
+    # x0 = None takes b as the start residual, which b - (c S 0 + d 0) gives
+    # bit for bit, -0.0 entries of b and negative entries of d included
+    man = request.getfixturevalue(mesh)
+    n = man.node_count
+    psi = -1.0 + 0.3 * np.cos(2.0 * man.coordinates[:, 0])
+    b = np.random.default_rng(4).standard_normal(n)
+    b[::5] = -0.0
+    negative = man.mass * np.where(np.arange(n) % 3 == 0, -0.05, 1.0)
+    for c, d in _solve_cases(man, psi) + [(1.0, negative)]:
+        for rtol in (_PCG_RTOL, 1e-6):
+            got = _solve(man, c, d, b, None, rtol)
+            assert got.tobytes() == _solve(man, c, d, b, np.zeros(n), rtol).tobytes()
+    # a d of +inf makes the zero start's residual NaN; both starts raise alike
+    d = man.mass.copy()
+    d[1] = np.inf
+    for x0 in (None, np.zeros(n)):
+        with pytest.raises(InnerSolverFailure, match="positive definite"), \
+                np.errstate(invalid="ignore"):
+            _solve(man, 1.0, d, b, x0)
+
+
 def test_solve_rejects_what_is_not_spd(circle64):
     man = circle64
     b = np.ones(64)
