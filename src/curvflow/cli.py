@@ -15,7 +15,7 @@ Identical command line + seed gives byte-identical trace files.
 
 --preset NAME stands for the flag values in PRESETS[NAME]; flags given
 on the command line win over them, and a preset that fixes the manifold
-takes no --torus or --off.
+takes no --torus or --off.  gauss takes no --preset: every preset is 1-D.
 """
 
 from __future__ import annotations
@@ -80,11 +80,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _add_problem_args(p: argparse.ArgumentParser) -> None:
-    """The manifold and potential flags that every subcommand takes."""
+def _add_problem_args(p: argparse.ArgumentParser, presets: bool = True) -> None:
+    """The manifold and potential flags; --preset only where a preset, a circle, can run."""
     p.add_argument("--torus", help="periodic grid as N:L[,N:L...]; with --off, the mesh times it")
     p.add_argument("--off", help="path to an OFF surface mesh")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="frozen named flag values")
+    if presets:
+        p.add_argument("--preset", choices=sorted(PRESETS), help="frozen named flag values")
     p.add_argument("--psi", help="potential expression over x1..xn")
 
 
@@ -282,7 +283,7 @@ def _build_parser(preset: dict) -> _Parser:
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_gauss = sub.add_parser("gauss", help="two-dimensional log-conformal flow")
-    _add_problem_args(p_gauss)
+    _add_problem_args(p_gauss, presets=False)
     _add_budget_args(p_gauss, dt0=1e-3)
     p_gauss.set_defaults(func=cmd_gauss)
 
@@ -300,9 +301,9 @@ def _parse_args(argv: list[str] | None):
     """argv parsed once, then again with --preset's values as defaults, so
     the flags given win over the preset's."""
     args = _build_parser({}).parse_args(argv)
-    if not args.preset:
+    preset = PRESETS.get(getattr(args, "preset", None))
+    if not preset:
         return args
-    preset = PRESETS[args.preset]
     if preset.keys() & {"torus", "off"} and (args.torus or args.off):
         raise CliUsageError("--preset already fixes the manifold")
     return _build_parser(preset).parse_args(argv)

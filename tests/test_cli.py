@@ -192,6 +192,14 @@ def test_unwritable_out_fails_before_the_flow_runs(argv, tmp_path, monkeypatch, 
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_gauss_help_lists_no_preset(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["gauss", "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert "--psi" in out and "--preset" not in out
+
+
 def test_gauss_run_reports_drift():
     res = run_cli("gauss", "--torus", f"32:{TWO_PI_STR},32:{TWO_PI_STR}",
                   "--psi", "0.3*cos(x1)", "--dt0", "2e-3", "--tmax", "2",
@@ -304,6 +312,8 @@ BAD_INPUTS = {
     "sweep-no-starts": lambda tmp: ("sweep", "--preset", "thm2", "--starts", "0"),
     "seed-negative": lambda tmp: ("run", "--preset", "thm2", "--seed", "-1"),
     "gauss-seed": lambda tmp: ("gauss", "--torus", "8:1,8:1", "--psi", "1", "--seed", "1"),
+    # every preset is a circle, and gauss runs in dimension 2 only
+    "gauss-preset": lambda tmp: ("gauss", "--preset", "thm2"),
     "off-directory": lambda tmp: ("eigen", "--off", str(tmp), "--psi", "1"),
     "off-binary": lambda tmp: ("eigen", "--off", _binary_off(tmp), "--psi", "1"),
     "off-nan-vertex": lambda tmp: ("eigen", "--off", _nan_vertex_off(tmp), "--psi", "1"),
@@ -334,7 +344,7 @@ BAD_INPUTS = {
 
 
 # what the error line must name, where a later failure could mask the cause
-BAD_INPUT_NAMES = {"tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
+BAD_INPUT_NAMES = {"gauss-preset": "--preset", "tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
                    "off-nan-vertex": "line 8", "p-overflow": "f = inf",
                    "psi-overflow-f": "f = inf", "psi-deep-parens": "nests too deeply",
                    "psi-deep-minus": "nests too deeply", "torus-step-zero": "N/L",
