@@ -69,7 +69,7 @@ def newton_constrained(
     positivity as the obstacle raises PositivityLost, anything else that
     stalls (or exceeding _MAX_ITER) raises NewtonNoConvergence.
     """
-    u = _check_field(man, u_init, "u_init")
+    u = _check_field(man, u_init, "u_init").copy()  # returned as is when converged already
     if not np.all(u > 0):
         raise NonPositiveField("u_init must be strictly positive")
     psi = _check_field(man, psi, "psi")

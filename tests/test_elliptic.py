@@ -21,8 +21,11 @@ SQRT_2PI = np.sqrt(TWO_PI)
 
 def test_exact_constant_start(circle64):
     V = circle64.volume
-    res = newton_constrained(circle64, 2.0 * np.ones(64), 1.0, 3.0, np.full(64, V**-0.25))
+    u_init = np.full(64, V**-0.25)
+    res = newton_constrained(circle64, 2.0 * np.ones(64), 1.0, 3.0, u_init)
     assert res.iterations <= 2
+    # a start that is converged already comes back as a new array
+    assert res.u is not u_init
     assert res.r == pytest.approx(2.0 * np.sqrt(V), rel=1e-12)
     np.testing.assert_allclose(res.u, V**-0.25, rtol=1e-12)
     assert res.residual <= 1e-12
