@@ -114,7 +114,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 def build_manifold(args) -> DiscreteManifold:
     """--off's mesh, --torus's grid, or with both their product."""
     if not (args.torus or args.off):
-        raise CliUsageError("specify a manifold via --torus, --off or --preset")
+        via = "--torus, --off or --preset" if "preset" in args else "--torus or --off"
+        raise CliUsageError(f"specify a manifold via {via}")
     factors = [load_off_mesh(args.off)] if args.off else []
     pairs = []
     for item in args.torus.split(",") if args.torus else []:
@@ -151,7 +152,8 @@ def resolve_problem(args) -> tuple[DiscreteManifold, np.ndarray, float, float]:
     gauss, which lack --p (and gauss --c), get the defaults 3 and 1."""
     man = build_manifold(args)
     if args.psi is None:
-        raise CliUsageError("specify --psi (or a --preset that fixes it)")
+        fix = " (or a --preset that fixes it)" if "preset" in args else ""
+        raise CliUsageError(f"specify --psi{fix}")
     psi = evaluate(parse(args.psi), man)
     return man, psi, getattr(args, "p", 3.0), resolve_c(getattr(args, "c", "1"), man)
 

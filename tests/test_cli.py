@@ -192,12 +192,18 @@ def test_unwritable_out_fails_before_the_flow_runs(argv, tmp_path, monkeypatch, 
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_gauss_help_lists_no_preset(capsys):
+def test_gauss_offers_no_preset(capsys, monkeypatch):
+    # neither its help nor its missing-flag errors name a flag gauss lacks
+    monkeypatch.delenv("CURVFLOW_LOG", raising=False)
     with pytest.raises(SystemExit) as exit_:
         cli.main(["gauss", "--help"])
     assert exit_.value.code == 0
     out = capsys.readouterr().out
     assert "--psi" in out and "--preset" not in out
+    assert cli.main(["gauss", "--psi", "1"]) == 1
+    assert capsys.readouterr().err == "error: specify a manifold via --torus or --off\n"
+    assert cli.main(["gauss", "--torus", "8:1,8:1"]) == 1
+    assert capsys.readouterr().err == "error: specify --psi\n"
 
 
 def test_gauss_run_reports_drift():
