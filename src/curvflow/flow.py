@@ -28,22 +28,21 @@ manifold._min or _max, the reduction's value at a third of its fixed cost at
 N = 128.  Every run is one start; spectral.relax_many runs its starts
 through run_flow one by one, in order.
 
-Each formula of the flow is written once, as a private kernel on arrays
-that are already validated: R (_curvature), the checked constraint
-integral (_integral), the projection (_project: two passes, stopping at an
-identity pass, so the entry points copy a field it hands back unscaled), and f
-with the residual (_diagnose), each on one (N,) field.  The public helpers validate
-and call them, and the run loop's _settle is built from them, so a run
-composes the arithmetic the helpers expose.  The operator -c Lap + psi
-comes from the manifold module, as its strong form (_apply) and as its
-quadratic form over a given denominator (_quotient), and so does the SPD
-solve of each imex Newton step: the Newton system is solved in its
-symmetric form, and a step whose matrix is not SPD is rejected like one
-that loses positivity, so the run loop halves its dt.  Newton is inexact:
-each correction is solved only to the forcing tolerance _FORCING times
-what the exit test max |F| <= _NEWTON_TOL max(1, |target|) could need of
-it, never tighter than the solver's 1e-13 and never looser than 1e-2; the
-exit test itself checks the true F.
+Each formula of the flow is written once, as a private kernel on arrays that
+are already validated: R (_curvature), the checked constraint integral
+(_integral), the projection (_project: two passes, stopping at an identity
+pass; entry points copy), and f with the residual (_diagnose), each on one (N,)
+field.  The public helpers validate and call them, and the run loop's _settle
+is built from them, so a run composes the arithmetic the helpers expose.  The
+operator -c Lap + psi comes from the manifold module, as its strong form
+(_apply) and as its quadratic form over a given denominator (_quotient), and so
+does the SPD solve of each imex Newton step: the Newton system is solved in its
+symmetric form, and a step whose matrix is not SPD is rejected like one that
+loses positivity, so the run loop halves its dt.  Newton is inexact: each
+correction is solved only to the forcing tolerance _FORCING times what the exit
+test max |F| <= _NEWTON_TOL max(1, |target|) could need of it, never tighter
+than the solver's 1e-13 and never looser than 1e-2; the exit test itself checks
+the true F.
 """
 
 from __future__ import annotations
@@ -274,9 +273,8 @@ def _project(
     """Scale u onto \\int u^{p+1} dv = 1 in two passes, carrying u_min = u.min().
 
     The second pass removes the O(eps) residue the rounded (p+1)-th root
-    leaves behind.  A pass whose scale k is exactly 1.0 ends the loop: u / k,
-    u_min / k and the re-integral are identities, and the entry points copy a
-    u handed back unscaled.  Returns (u, u.min(), u^{p+1}, the integral before, after).
+    leaves behind; a scale k of exactly 1.0 ends the loop, as u / k is then u.
+    Returns (u, u.min(), u^{p+1}, the integral before, after); u may be the input.
     """
     e = 1.0 / (p + 1.0)
     s, upw = _integral(mass, u, p)
