@@ -350,7 +350,8 @@ BAD_INPUTS = {
 
 
 # what the error line must name, where a later failure could mask the cause
-BAD_INPUT_NAMES = {"gauss-preset": "--preset", "tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
+BAD_INPUT_NAMES = {"gauss-preset": "--preset",
+                   "tol-inf": "tol_f", "c-inf": "--c", "eigen-c-nan": "--c",
                    "off-nan-vertex": "line 8", "p-overflow": "f = inf",
                    "psi-overflow-f": "f = inf", "psi-deep-parens": "nests too deeply",
                    "psi-deep-minus": "nests too deeply", "torus-step-zero": "N/L",
