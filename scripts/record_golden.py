@@ -21,18 +21,24 @@ import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+from curvflow.elliptic import newton_constrained
 from curvflow.flow import FlowConfig, normalize, run_flow, write_trace_csv
 from curvflow.gauss import run_gauss_flow
-from curvflow.manifold import build_torus_grid
+from curvflow.manifold import build_torus_grid, load_off_mesh, product
 from curvflow.spectral import lambda1, lognormal_field
 
-GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden.json"
+TESTS = Path(__file__).resolve().parents[1] / "tests"
+sys.path.insert(0, str(TESTS))
+from conftest import make_icosphere, write_off  # noqa: E402  (the tests' mesh generator)
+
+GOLDEN = TESTS / "golden.json"
 TWO_PI = 2.0 * math.pi
 
 
@@ -72,6 +78,15 @@ def _torus32():
     return man, man.coordinates[:, 0]
 
 
+def _icosphere(depth: int, z: float = 1.0):
+    """icosphere(depth) with z scaled, written as OFF and read back by load_off_mesh."""
+    verts, faces = make_icosphere(depth)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.off"
+        write_off(path, verts * np.array([1.0, 1.0, z]), faces)
+        return load_off_mesh(str(path))
+
+
 def explicit_thm2() -> dict:
     """run --preset thm2: psi = -1 from the seed-0 log-normal start."""
     man, _ = _circle128()
@@ -105,6 +120,38 @@ def gauss_torus32() -> dict:
     return _run(run_gauss_flow(man, 0.3 * np.cos(x), np.zeros(man.node_count), cfg))
 
 
+def explicit_icosphere3() -> dict:
+    """psi = -1 on icosphere(3) from the seed-0 log-normal start."""
+    man = _icosphere(3)
+    return _run(run_flow(man, -np.ones(man.node_count), lognormal_field(man, 0), FlowConfig()))
+
+
+def explicit_flat_icosphere3() -> dict:
+    """psi = -1 on icosphere(3) with z scaled by 0.3, whose S has negative weights."""
+    man = _icosphere(3, z=0.3)
+    return _run(run_flow(man, -np.ones(man.node_count), lognormal_field(man, 0), FlowConfig()))
+
+
+def imex_s2_times_s1() -> dict:
+    """S^2(icosphere 2) x S^1(5) at p = 5, c = 8, psi = 2: the stable constant of test_critical."""
+    man = product(_icosphere(2), build_torus_grid([16], [5.0]))
+    cfg = FlowConfig(scheme="imex", dt0=1e-2, p=5.0, c=8.0, t_max=200.0)
+    return _run(run_flow(man, np.full(man.node_count, 2.0), lognormal_field(man, (0, 0)), cfg))
+
+
+def newton_icosphere3() -> dict:
+    """newton_constrained at psi = -1, p = 3, c = 1 on icosphere(3) from the seed-0 start."""
+    man = _icosphere(3)
+    res = newton_constrained(man, -np.ones(man.node_count), 1.0, 3.0, lognormal_field(man, 0))
+    return {"steps": res.iterations, "r_inf": float.hex(res.r),
+            "residual": float.hex(res.residual), "field_sha256": _sha(res.u.tobytes())}
+
+
+def lognormal_icosphere3() -> dict:
+    """The seed-0 log-normal field on icosphere(3)."""
+    return {"field_sha256": _sha(lognormal_field(_icosphere(3), 0).tobytes())}
+
+
 def lambda1_cos() -> dict:
     """The ground eigenpair of -Lap + cos x on the 128-circle."""
     man, x = _circle128()
@@ -121,7 +168,9 @@ def normalize_lognormal() -> dict:
 
 
 CASES = {f.__name__: f for f in (explicit_thm2, explicit_thm3, imex_thm2, imex_torus32,
-                                 gauss_torus32, lambda1_cos, normalize_lognormal)}
+                                 gauss_torus32, lambda1_cos, normalize_lognormal,
+                                 explicit_icosphere3, explicit_flat_icosphere3,
+                                 imex_s2_times_s1, newton_icosphere3, lognormal_icosphere3)}
 
 
 def main() -> int:
