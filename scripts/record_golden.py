@@ -10,8 +10,11 @@ on a mismatch.
 
     PYTHONPATH=src python3 scripts/record_golden.py    # rewrite tests/golden.json
 
-A change that moves a case re-records it and names the case, with its
-change in steps and in ulps of r_inf, in CHANGES.md.
+It prints one line for each case that differs from the file it replaces:
+the change in steps, in ulps of each float.hex value (r_inf, lambda1, f,
+...), and which hashes changed.  Unchanged cases print nothing.  A change
+that moves a case re-records it and names the case, with its change in
+steps and in ulps of r_inf, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import io
 import json
 import math
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -173,11 +177,44 @@ CASES = {f.__name__: f for f in (explicit_thm2, explicit_thm3, imex_thm2, imex_t
                                  imex_s2_times_s1, newton_icosphere3, lognormal_icosphere3)}
 
 
+def _ordinal(x: float) -> int:
+    """x's rank among the doubles: the difference of two ranks is their distance in ulps."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & (2**63 - 1))
+
+
+def _change(key: str, before, after) -> str:
+    if key.endswith("_sha256"):
+        return f"{key.removesuffix('_sha256')} hash changed"
+    if key == "steps" and before is not None:
+        return f"steps {after - before:+d}"
+    try:
+        return f"{key} {_ordinal(float.fromhex(after)) - _ordinal(float.fromhex(before)):+d} ulps"
+    except (TypeError, ValueError):  # not a float.hex pair: a stop reason, a missing key
+        return f"{key} {before} -> {after}"
+
+
+def moves(old: dict, new: dict) -> list[str]:
+    """One line per case that is new, gone or differs between two "cases" tables."""
+    lines = [f"{name}: removed" for name in old if name not in new]
+    for name, case in new.items():
+        if name not in old:
+            lines.append(f"{name}: new case")
+        elif case != old[name]:
+            was = old[name]
+            changes = [_change(k, was.get(k), v) for k, v in case.items() if was.get(k) != v]
+            lines.append(f"{name}: " + ", ".join(changes))
+    return lines
+
+
 def main() -> int:
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else {}
     record = {"environment": environment(),
               "cases": {name: case() for name, case in CASES.items()}}
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
+    for line in moves(old, record["cases"]):
+        print(line)
     return 0
 
 

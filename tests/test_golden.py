@@ -34,3 +34,21 @@ def test_golden_case(name):
     assert got == want, (
         f"{name} moved (recorded with {GOLDEN['environment']}, "
         f"this is {record_golden.environment()}): got {got}, want {want}")
+
+
+def test_record_golden_reports_only_what_moved():
+    old = {"same": {"steps": 5, "r_inf": float.hex(1.0)},
+           "run": {"steps": 10, "stop": "Converged", "r_inf": float.hex(-2.0),
+                   "field_sha256": "a", "trace_sha256": "b"},
+           "gone": {}}
+    new = {"same": {"steps": 5, "r_inf": float.hex(1.0)},
+           "run": {"steps": 7, "stop": "Converged", "r_inf": float.hex(-2.0 - 3 * 2.0**-51),
+                   "field_sha256": "c", "trace_sha256": "b"},
+           "fresh": {}}
+    assert record_golden.moves(old, new) == [
+        "gone: removed",
+        "run: steps -3, r_inf -3 ulps, field hash changed",
+        "fresh: new case",
+    ]
+    assert record_golden._ordinal(0.0) == record_golden._ordinal(-0.0)
+    assert record_golden._ordinal(5e-324) - record_golden._ordinal(-5e-324) == 2
