@@ -332,8 +332,8 @@ def make_flow_state(
     p: float = 3.0,
     c: float = 1.0,
 ) -> FlowState:
-    """Bundle a field into a FlowState with its Rayleigh quotient cached."""
-    u = _positive_field(man, u)
+    """Bundle a copy of a field into a FlowState with its Rayleigh quotient cached."""
+    u = _positive_field(man, u).copy()  # the caller's array may change; the cached r may not
     r = rayleigh_r(man, u, psi, c, p)
     return FlowState(u=u, t=float(t), step=int(step), p=float(p), c=float(c), r=r)
 

@@ -176,6 +176,16 @@ def test_state_caches_rayleigh(circle64):
     assert st_.r == rayleigh_r(circle64, u, psi, 1.0, 3.0)
 
 
+def test_state_keeps_its_own_copy_of_the_field(circle64):
+    psi = -np.ones(64)
+    u = normalize(circle64, np.ones(64), 3.0)
+    st_ = make_flow_state(circle64, psi, u)
+    r, saved = st_.r, u.copy()
+    u[0] = 5.0
+    assert st_.u is not u and np.array_equal(st_.u, saved)
+    assert st_.r == r == rayleigh_r(circle64, st_.u, psi, 1.0, 3.0)
+
+
 def test_explicit_constant_fixed_point(circle64):
     psi = -np.ones(64)
     state = make_flow_state(circle64, psi, normalize(circle64, np.ones(64), 3.0))
