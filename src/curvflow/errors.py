@@ -29,7 +29,7 @@ class NonTriangleFace(CurvFlowError):
 
 
 class DegenerateTriangle(CurvFlowError):
-    """Mesh triangle with (near-)zero area."""
+    """Mesh simplex (an OFF file's triangle) with (near-)zero volume."""
 
 
 class SizeMismatch(CurvFlowError):

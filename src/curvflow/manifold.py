@@ -26,13 +26,14 @@ N = 128 against 1.0 us for the reduction x.min(), and a zero extreme falls back
 to x.min(), so value, sign and NaN are the reduction's.  _edges keeps intp
 indices, so take() converts no int32 index array per call.
 
-Constructions: periodic circles (second-order differences), closed surfaces
-from OFF files (P1 FEM: cotangent S, barycentric lumped M), and product(a, b),
-the lumped tensor product S_a (x) diag(M_b) + diag(M_a) (x) S_b, M_a (x) M_b;
-a flat torus is a product of circles.  S = S^T, S 1 = 0 and S >= 0 hold by
-construction and go unchecked: each weight goes to (i, j), (j, i) and both
-diagonals from one value; grid weights are >= 0; a mesh's S sums per-triangle
-Gram matrices; a product sums two PSD Kronecker terms overlapping on the diagonal.
+Constructions: periodic circles (second-order differences), closed complexes of
+d-simplices (_simplicial: P1 FEM S, barycentric lumped M; load_off_mesh feeds it
+OFF triangles), and product(a, b), the lumped tensor product S_a (x) diag(M_b) +
+diag(M_a) (x) S_b, M_a (x) M_b; a flat torus is a product of circles.  S = S^T,
+S 1 = 0 and S >= 0 hold by construction and go unchecked: each weight goes to
+(i, j), (j, i) and both diagonals from one value; grid weights are >= 0; a mesh's
+S sums per-simplex Gram matrices vol B B^T; a product sums two PSD Kronecker
+terms overlapping on the diagonal.
 """
 
 from __future__ import annotations
@@ -321,32 +322,62 @@ def build_torus_grid(counts: Sequence[int], lengths: Sequence[float]) -> Discret
     return reduce(product, map(_circle, counts, lengths))
 
 
-def _off_tokens(text: str) -> list[tuple[str, int]]:
-    """Split OFF text into lines, dropping blanks and '#' comments."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((line, lineno))
-    return out
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN fail the checks here or at the end
+def _simplicial(verts: np.ndarray, simplices: np.ndarray) -> DiscreteManifold:
+    """P1 elements on a closed complex of d-simplices, rows of d + 1 indices into verts.
+
+    Per simplex, with E the edge rows x_k - x_0 and E^T = Q R: vol = sqrt(prod r_kk^2) / d!,
+    K = vol D G^{-1} D^T = vol B B^T, B = D R^{-1}, D = [-1^T; I_d] (G = E E^T = R^T R is not
+    formed: it squares E's condition number).  Edge (a, b) gets weight -K_ab, the cotangent
+    formula at d = 2, and each vertex vol / (d + 1) of mass, both summed times d! and divided
+    once, so lattice complexes come out exact.  Rejects a volume not finite or <= 1e-14 of
+    the mean, and a (d-1)-face not in exactly two simplices.
+    """
+    d, n = simplices.shape[1] - 1, len(verts)
+    simplices = np.sort(simplices, axis=1)  # so each edge and (d-1)-face has one key
+    E = verts[simplices[:, 1:]] - verts[simplices[:, :1]]
+    R = np.linalg.qr(E.transpose(0, 2, 1), mode="r")
+    r = np.diagonal(R, axis1=1, axis2=2)
+    det = np.sqrt(np.prod(r * r, axis=1))  # d! vol
+    if not np.all(np.isfinite(det)):  # finite coordinates can still overflow
+        raise MeshFormatError(f"face {int(np.argmin(np.isfinite(det)))}: volume is not finite")
+    # <= so an exactly flat face is caught even when it drags the mean to zero
+    if np.any(det <= 1e-14 * det.mean()):
+        bad = int(np.argmin(det))
+        raise DegenerateTriangle(f"face {bad}: volume {det[bad] / math.factorial(d):.3e} ~ 0")
+
+    facets = np.concatenate([np.delete(simplices, k, axis=1) for k in range(d + 1)])
+    _, counts = np.unique(facets, axis=0, return_counts=True)
+    if np.any(counts != 2):
+        raise MeshFormatError(f"mesh is not closed (a boundary or nonmanifold {d - 1}-face)")
+
+    Rinv = np.linalg.inv(R)
+    B = np.concatenate([-Rinv.sum(axis=1, keepdims=True), Rinv], axis=1)
+    K = det[:, None, None] * (B @ B.transpose(0, 2, 1))
+    a, b = np.triu_indices(d + 1, k=1)
+    # one weight per edge, summed in simplex order: tocsr's sums would break S = S^T
+    keys, at = np.unique(simplices[:, a] * n + simplices[:, b], return_inverse=True)
+    S = _stiffness(n, [(keys // n, keys % n, np.bincount(at.ravel(), -K[:, a, b].ravel()))])
+    S.data /= math.factorial(d)
+    mass = np.bincount(simplices.ravel(), np.repeat(det, d + 1), n) / math.factorial(d + 1)
+    return DiscreteManifold(coordinates=verts, mass=mass, stiffness=S, dim=d)
 
 
 def load_off_mesh(path: str) -> DiscreteManifold:
-    """Load a closed triangulated surface from an OFF file.
+    """Load a closed triangulated surface from an OFF file, assembled by _simplicial.
 
-    Builds the cotangent stiffness matrix and barycentric lumped mass
-    (one third of the incident triangle area per vertex).  Rejects
-    non-finite vertices and areas, non-triangle faces, (near-)degenerate
-    triangles, and meshes that are not closed (every edge must bound
-    exactly two triangles).  A file that cannot be read as UTF-8 text
-    raises MeshFormatError as well.
+    Rejects non-finite vertices, faces other than triangles (NonTriangleFace) and
+    what _simplicial rejects.  A file that cannot be read as UTF-8 text raises
+    MeshFormatError as well.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
-    lines = _off_tokens(text)
+    # (line, line number), dropping blanks and '#' comments
+    lines = [(line, lineno) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip())]
     if not lines or lines[0][0].split() != ["OFF"]:
         raise MeshFormatError("missing OFF header")
     if len(lines) < 2:
@@ -362,15 +393,14 @@ def load_off_mesh(path: str) -> DiscreteManifold:
 
     verts = np.empty((nv, 3))
     for i in range(nv):
-        parts = lines[2 + i][0].split()
+        line, lineno = lines[2 + i]
+        parts = line.split()
         if len(parts) != 3:
-            raise MeshFormatError(
-                f"line {lines[2 + i][1]}: expected 3 vertex coordinates, got {len(parts)}"
-            )
+            raise MeshFormatError(f"line {lineno}: expected 3 vertex coordinates, got {len(parts)}")
         try:
             verts[i] = [float(p) for p in parts]
         except ValueError as exc:
-            raise MeshFormatError(f"line {lines[2 + i][1]}: bad vertex literal") from exc
+            raise MeshFormatError(f"line {lineno}: bad vertex literal") from exc
     finite = np.isfinite(verts).all(axis=1)
     if not finite.all():  # float() takes "nan" and "inf"
         raise MeshFormatError(f"line {lines[2 + int(np.argmin(finite))][1]}: non-finite vertex")
@@ -395,41 +425,4 @@ def load_off_mesh(path: str) -> DiscreteManifold:
             raise DegenerateTriangle(f"line {lineno}: repeated vertex in face")
         faces[i] = ijk
 
-    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        areas = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
-    if not np.all(np.isfinite(areas)):  # finite coordinates can still overflow
-        raise MeshFormatError(f"face {int(np.argmin(np.isfinite(areas)))}: area is not finite")
-    mean_area = areas.mean()
-    # <= so an exactly flat face is caught even when it drags the mean to zero
-    if np.any(areas <= 1e-14 * mean_area):
-        bad = int(np.argmin(areas))
-        raise DegenerateTriangle(f"face {bad}: area {areas[bad]:.3e} ~ 0")
-
-    # closedness: every undirected edge in exactly two faces
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    edges.sort(axis=1)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
-    if np.any(counts != 2):
-        raise MeshFormatError("mesh is not a closed surface (boundary or nonmanifold edge)")
-
-    corners = (
-        (faces[:, 0], faces[:, 1], faces[:, 2]),
-        (faces[:, 1], faces[:, 2], faces[:, 0]),
-        (faces[:, 2], faces[:, 0], faces[:, 1]),
-    )
-    blocks = []
-    for apex, i, j in corners:
-        e1 = verts[i] - verts[apex]
-        e2 = verts[j] - verts[apex]
-        # cot(angle at apex) = <e1,e2> / |e1 x e2| ; half of it weights edge (i,j)
-        cot = np.einsum("ij,ij->i", e1, e2) / (2.0 * areas)
-        blocks.append((i, j, 0.5 * cot))
-    S = _stiffness(nv, blocks)
-
-    mass = np.zeros(nv)
-    np.add.at(mass, faces[:, 0], areas / 3.0)
-    np.add.at(mass, faces[:, 1], areas / 3.0)
-    np.add.at(mass, faces[:, 2], areas / 3.0)
-
-    return DiscreteManifold(coordinates=verts, mass=mass, stiffness=S, dim=2)
+    return _simplicial(verts, faces)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -87,6 +88,28 @@ def make_icosphere(depth):
             new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
         faces = new_faces
     return np.array(verts), np.array(faces, dtype=int)
+
+
+def make_s3(k, project=True):
+    """The boundary of [-1, 1]^4: each of its 8 cubic facets cut into k^3 cubes
+    of 6 Kuhn tetrahedra, vertices merged, then projected to the unit S^3
+    unless project is False.  A Kuhn tetrahedron walks from a cube's low corner
+    to its high corner one axis at a time, one per order of the 3 axes, so
+    adjacent facets cut their shared squares alike.  Returns (vertices,
+    tetrahedra) with 0-based indices: (k+1)^4 - (k-1)^4 nodes, 80 at k = 2 and
+    544 at k = 4, and 48 k^3 tetrahedra."""
+    corners = np.array(list(itertools.product(range(k), repeat=3)))
+    walks = np.array([np.cumsum([[0, 0, 0]] + [np.eye(3, dtype=int)[a] for a in order], axis=0)
+                      for order in itertools.permutations(range(3))])
+    cube = (corners[:, None, None, :] + walks[None]).reshape(-1, 4, 3)
+    # the fixed coordinate of facet (axis, side) goes in at position axis
+    lattice = np.concatenate([np.insert(cube, axis, side, axis=2)
+                              for axis in range(4) for side in (0, k)])
+    nodes, index = np.unique(lattice.reshape(-1, 4), axis=0, return_inverse=True)
+    verts = -1.0 + (2.0 / k) * nodes
+    if project:
+        verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    return verts, index.reshape(-1, 4)
 
 
 def write_off(path, verts, faces):

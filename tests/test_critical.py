@@ -5,6 +5,12 @@ c = c_3 = 4(n-1)/(n-2) = 8.  With psi = a constant and (p-1) a below
 c lambda1(-Lap) = 8, the constant field is the stable limit, with energy
 E = a V^{2/3}.  The 8^3 grid keeps each run under a second.
 
+On S^3(4), a Kuhn-cut 4-cube boundary projected to the unit sphere, the
+constant is the stable limit for psi = 1 and psi = 2: (p-1) a stays below
+c lambda1(-Lap) = 8 * 2.831.  The scalar curvature 6 of the unit S^3 sits
+exactly at the edge, 4 * 6 = 8 * 3, in the smooth limit.  Each run takes
+under 0.1 s (30 and 43 steps).
+
 On S^2(1) x S^1(L), the product of an icosphere and a circle, psi = 2 is the
 scalar curvature, so E is the Yamabe functional.  The constant is stable
 while (p-1) 2 = 8 stays below c lambda1(-Lap) = 8 min(2, (2 pi / L)^2), as
@@ -18,10 +24,10 @@ import pytest
 
 from curvflow.elliptic import newton_constrained
 from curvflow.flow import STOP_CONVERGED, FlowConfig, default_c, run_flow, trace_column
-from curvflow.manifold import build_torus_grid, integrate, load_off_mesh, product
+from curvflow.manifold import _simplicial, build_torus_grid, integrate, load_off_mesh, product
 from curvflow.spectral import energy_E, lambda1, lognormal_field, y_sphere_constant
 
-from conftest import TWO_PI, make_icosphere, write_off
+from conftest import TWO_PI, make_icosphere, make_s3, write_off
 
 EPS = np.finfo(float).eps
 P = 5.0
@@ -56,6 +62,32 @@ def test_imex_reaches_the_constant_limit(a, torus3):
 def test_lambda1_of_a_constant_potential(a, torus3):
     e = lambda1(torus3, np.full(torus3.node_count, a), default_c(3))
     assert abs(e.lambda1 - a) <= 2 * np.spacing(abs(a))
+
+
+@pytest.fixture(scope="module")
+def sphere3():
+    return _simplicial(*make_s3(4))
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_imex_on_the_round_s3_reaches_the_constant(a, sphere3):
+    man = sphere3
+    assert (man.node_count, man.dim) == (544, 3)
+    c = default_c(3)
+    psi = np.full(man.node_count, a)
+    cfg = FlowConfig(scheme="imex", dt0=1e-2, p=P, c=c)
+    res = run_flow(man, psi, lognormal_field(man, (0, 0)), cfg)
+    assert res.stop == STOP_CONVERGED
+    u = res.final.u
+    want = a * man.volume ** ((P - 1.0) / (P + 1.0))
+    assert abs(energy_E(man, u, psi, c, P) - want) <= 4 * EPS * abs(want)
+    assert abs(integrate(man, u ** (P + 1.0)) - 1.0) <= 1e-13
+    r = trace_column(res.trace, "r")
+    assert np.all(np.diff(r) <= 8 * EPS * np.abs(r[:-1]))
+    # acceptance 07's oracle tolerances
+    newt = newton_constrained(man, psi, c, P, u)
+    assert np.max(np.abs(newt.u - u)) <= 1e-6
+    assert abs(newt.r - res.final.r) <= 1e-8
 
 
 @pytest.fixture(scope="module")

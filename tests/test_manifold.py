@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
@@ -21,6 +22,7 @@ from curvflow.manifold import (
     _matvec,
     _max,
     _min,
+    _simplicial,
     _solve,
     DiscreteManifold,
     build_torus_grid,
@@ -31,8 +33,19 @@ from curvflow.manifold import (
     product,
 )
 
-from conftest import OCTAHEDRON_OFF, TWO_PI, circle
+from conftest import (
+    BIPYRAMID_OFF,
+    OCTAHEDRON_OFF,
+    TWO_PI,
+    circle,
+    make_icosphere,
+    make_s3,
+    write_off,
+)
+from reference_cotangent import cotangent_arrays
 from reference_grid import torus_grid_arrays
+
+EPS = np.finfo(float).eps
 
 
 def test_circle_volume_exact():
@@ -391,6 +404,89 @@ def test_off_unreadable_file_is_format_error(tmp_path):
     binary.write_bytes(b"OFF\n\xff\xfe\x00\x01")
     with pytest.raises(MeshFormatError):
         load_off_mesh(str(binary))
+
+
+def test_off_sliver_pillow_loads(tmp_path):
+    # two copies of a triangle of height 1e-9, oppositely oriented: a Gram
+    # determinant would square the aspect ratio away, R's diagonal keeps it
+    man = _load_text(tmp_path, "OFF\n3 2 3\n0 0 0\n1 0 0\n2 1e-9 0\n3 0 1 2\n3 0 2 1\n")
+    assert abs(man.volume - 1e-9) <= 2 * np.spacing(1e-9)
+
+
+# --- the simplicial P1 assembly ------------------------------------------------
+
+
+def _off_arrays(text):
+    rows = [line.split() for line in text.splitlines()[2:]]
+    verts = np.array([row for row in rows if len(row) == 3], dtype=float)
+    return verts, np.array([row[1:] for row in rows if len(row) == 4], dtype=int)
+
+
+_TRIANGLE_MESHES = {
+    "octahedron": lambda: _off_arrays(OCTAHEDRON_OFF),
+    "bipyramid": lambda: _off_arrays(BIPYRAMID_OFF),
+    "icosphere2": lambda: make_icosphere(2),
+    "icosphere3": lambda: make_icosphere(3),
+    "icosphere4": lambda: make_icosphere(4),
+    "flat_icosphere3": lambda: (lambda v, f: (v * np.array([1.0, 1.0, 0.3]), f))(
+        *make_icosphere(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRIANGLE_MESHES))
+def test_off_mesh_is_the_cotangent_assembly(name, tmp_path):
+    verts, faces = _TRIANGLE_MESHES[name]()
+    path = tmp_path / "mesh.off"
+    write_off(path, verts, faces)
+    man = load_off_mesh(str(path))
+    mass, S = cotangent_arrays(man.coordinates, faces)
+    got = man.stiffness
+    assert np.array_equal(got.indptr, S.indptr) and np.array_equal(got.indices, S.indices)
+    assert np.max(np.abs(got.data - S.data)) <= 4 * EPS * np.max(np.abs(S.data))
+    assert np.all(np.abs(man.mass - mass) <= 4 * np.spacing(mass))
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_kuhn_cut_4_cube_boundary_is_the_7_point_stencil(k):
+    verts, tets = make_s3(k, project=False)
+    man = _simplicial(verts, tets)
+    assert (man.dim, man.ambient_dim) == (3, 4)
+    assert abs(man.volume - 64.0) <= 2 * np.spacing(64.0)
+    h = 2.0 / k
+    lattice = np.rint((verts + 1.0) / h).astype(int)
+    fixed = ((lattice == 0) | (lattice == k)).sum(axis=1)
+    S = man.stiffness.toarray()
+    inside = np.flatnonzero((fixed == 1) & (((lattice > 0) & (lattice < k)).sum(axis=1) == 3))
+    assert len(inside) == 8 * (k - 1) ** 3
+    for i in inside:
+        row = S[i].copy()
+        nbrs = np.flatnonzero(np.abs(lattice - lattice[i]).sum(axis=1) == 1)
+        assert len(nbrs) == 6
+        assert np.all(row[nbrs] == -h) and row[i] == 6.0 * h
+        row[nbrs] = row[i] = 0.0
+        assert np.max(np.abs(row)) <= 4 * EPS
+
+
+@pytest.mark.parametrize("k,volume,low,triple", [(2, 14.963, 2.542, 3.156),
+                                                 (4, 18.226, 2.831, 3.053)])
+def test_round_s3_mesh(k, volume, low, triple):
+    # the Kuhn cut breaks the 4-fold eigenvalue 3 of the round S^3: one mode falls below
+    man = _simplicial(*make_s3(k))
+    assert (man.dim, man.ambient_dim) == (3, 4)
+    assert np.allclose(np.linalg.norm(man.coordinates, axis=1), 1.0, rtol=0, atol=4 * EPS)
+    _assert_stiffness_identities(man, grid=False)
+    assert man.volume == pytest.approx(volume, abs=5e-4)
+    ev = scipy.linalg.eigh(man.stiffness.toarray(), np.diag(man.mass), eigvals_only=True)
+    assert abs(ev[0]) <= 1e-12
+    assert ev[1] == pytest.approx(low, abs=5e-4)
+    assert ev[2:5] == pytest.approx([triple] * 3, abs=5e-4)
+    assert ev[4] - ev[2] <= 1e-12 * ev[4]
+
+
+def test_simplicial_closedness_is_on_d_minus_1_faces():
+    verts, tets = make_s3(2)
+    with pytest.raises(MeshFormatError, match="2-face"):
+        _simplicial(verts, tets[1:])
 
 
 # --- S x through scipy's CSR kernel ------------------------------------------
