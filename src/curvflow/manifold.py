@@ -366,9 +366,9 @@ def _simplicial(verts: np.ndarray, simplices: np.ndarray) -> DiscreteManifold:
 def load_off_mesh(path: str) -> DiscreteManifold:
     """Load a closed triangulated surface from an OFF file, assembled by _simplicial.
 
-    Rejects non-finite vertices, faces other than triangles (NonTriangleFace) and
-    what _simplicial rejects.  A file that cannot be read as UTF-8 text raises
-    MeshFormatError as well.
+    Rejects non-finite vertices, faces of arity other than 3 (NonTriangleFace), a
+    triangle line without exactly 3 indices, and what _simplicial rejects.  A file
+    that cannot be read as UTF-8 text raises MeshFormatError as well.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -413,8 +413,10 @@ def load_off_mesh(path: str) -> DiscreteManifold:
             arity = int(parts[0])
         except (ValueError, IndexError) as exc:
             raise MeshFormatError(f"line {lineno}: bad face line") from exc
-        if arity != 3 or len(parts) != 4:
+        if arity != 3:
             raise NonTriangleFace(f"line {lineno}: face with {arity} vertices")
+        if len(parts) != 4:
+            raise MeshFormatError(f"line {lineno}: triangle with {len(parts) - 1} indices")
         try:
             ijk = [int(p) for p in parts[1:]]
         except ValueError as exc:

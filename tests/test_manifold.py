@@ -390,6 +390,14 @@ def test_off_non_finite_vertex_or_area(tmp_path, last_vertex, where):
             _load_text(tmp_path, text)
 
 
+@pytest.mark.parametrize("face,count", [("3 0 2 4 255 0 0", 6), ("3 0 2", 2)])
+def test_off_triangle_with_a_wrong_index_count(tmp_path, face, count):
+    # a MeshFormatError naming the line and the count, not a NonTriangleFace for a triangle
+    text = OCTAHEDRON_OFF.replace("3 0 2 4\n", face + "\n")
+    with pytest.raises(MeshFormatError, match=f"^line 9: triangle with {count} indices$"):
+        _load_text(tmp_path, text)
+
+
 def test_off_index_out_of_range(tmp_path):
     with pytest.raises(MeshFormatError):
         _load_text(tmp_path, "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
