@@ -267,15 +267,10 @@ def laplacian_apply(man: DiscreteManifold, u: np.ndarray) -> np.ndarray:
     return _laplacian(man, _check_field(man, u))
 
 
-def _stiffness(n: int, edge_blocks: Sequence[tuple]) -> sparse.csr_matrix:
-    """S = sum_e w_e (e_i - e_j)(e_i - e_j)^T over blocks (i, j, w) of index
-    and weight arrays, as an n x n CSR matrix with duplicates summed."""
-    rows, cols, vals = [], [], []
-    for i, j, w in edge_blocks:
-        rows.extend([i, j, i, j])
-        cols.extend([j, i, i, j])
-        vals.extend([-w, -w, w, w])
-    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+def _stiffness(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> sparse.csr_matrix:
+    """S = sum_e w_e (e_i - e_j)(e_i - e_j)^T over edges (i_e, j_e), as an n x n CSR matrix."""
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+    data = (np.concatenate([-w, -w, w, w]), (rows, cols))
     return sparse.coo_matrix(data, shape=(n, n)).tocsr()  # tocsr sums the duplicates
 
 
@@ -288,7 +283,7 @@ def _circle(N: int, L: float) -> DiscreteManifold:
     h, i = L / N, np.arange(N)
     if not (0 < h < math.inf and 1.0 / h < math.inf):  # then L is positive and finite too
         raise InvalidGridSpec(f"each length L must make L/N, N/L positive and finite, got {L!r}")
-    S = _stiffness(N, [(i, (i + 1) % N, np.full(N, 1.0 / h))])
+    S = _stiffness(N, i, (i + 1) % N, np.full(N, 1.0 / h))
     return DiscreteManifold(coordinates=(i * h)[:, None], mass=np.full(N, h), stiffness=S, dim=1)
 
 
@@ -357,10 +352,20 @@ def _simplicial(verts: np.ndarray, simplices: np.ndarray) -> DiscreteManifold:
     a, b = np.triu_indices(d + 1, k=1)
     # one weight per edge, summed in simplex order: tocsr's sums would break S = S^T
     keys, at = np.unique(simplices[:, a] * n + simplices[:, b], return_inverse=True)
-    S = _stiffness(n, [(keys // n, keys % n, np.bincount(at.ravel(), -K[:, a, b].ravel()))])
+    S = _stiffness(n, keys // n, keys % n, np.bincount(at.ravel(), -K[:, a, b].ravel()))
     S.data /= math.factorial(d)
     mass = np.bincount(simplices.ravel(), np.repeat(det, d + 1), n) / math.factorial(d + 1)
     return DiscreteManifold(coordinates=verts, mass=mass, stiffness=S, dim=d)
+
+
+def _off_tokens(text: str) -> list[tuple[str, int]]:
+    """Split OFF text into lines, dropping blanks and '#' comments."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((line, lineno))
+    return out
 
 
 def load_off_mesh(path: str) -> DiscreteManifold:
@@ -375,9 +380,7 @@ def load_off_mesh(path: str) -> DiscreteManifold:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
-    # (line, line number), dropping blanks and '#' comments
-    lines = [(line, lineno) for lineno, raw in enumerate(text.splitlines(), start=1)
-             if (line := raw.split("#", 1)[0].strip())]
+    lines = _off_tokens(text)
     if not lines or lines[0][0].split() != ["OFF"]:
         raise MeshFormatError("missing OFF header")
     if len(lines) < 2:
