@@ -317,7 +317,7 @@ def build_torus_grid(counts: Sequence[int], lengths: Sequence[float]) -> Discret
     return reduce(product, map(_circle, counts, lengths))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and NaN fail the checks here or at the end
+@np.errstate(over="ignore", invalid="ignore")  # inf/NaN fail the checks here or DiscreteManifold's
 def _simplicial(verts: np.ndarray, simplices: np.ndarray) -> DiscreteManifold:
     """P1 elements on a closed complex of d-simplices, rows of d + 1 indices into verts.
 
@@ -333,7 +333,7 @@ def _simplicial(verts: np.ndarray, simplices: np.ndarray) -> DiscreteManifold:
     E = verts[simplices[:, 1:]] - verts[simplices[:, :1]]
     R = np.linalg.qr(E.transpose(0, 2, 1), mode="r")
     r = np.diagonal(R, axis1=1, axis2=2)
-    det = np.sqrt(np.prod(r * r, axis=1))  # d! vol
+    det = np.sqrt(np.prod(r * r, axis=1))  # |det| of the edge frame, d! vol
     if not np.all(np.isfinite(det)):  # finite coordinates can still overflow
         raise MeshFormatError(f"face {int(np.argmin(np.isfinite(det)))}: volume is not finite")
     # <= so an exactly flat face is caught even when it drags the mean to zero
