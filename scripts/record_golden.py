@@ -6,7 +6,8 @@ the step count and stop reason, r_inf and the final f as float.hex, and
 the sha256 of the final field's bytes and of the trace CSV.  The file also
 stores the numpy and scipy versions and numpy's CPU dispatch targets,
 since a different build may round differently; the test fails naming them
-on a mismatch.
+on a mismatch.  It runs with one BLAS thread, as the tests do: OpenBLAS
+splits a ddot of more than 10,000 terms across threads.
 
     PYTHONPATH=src python3 scripts/record_golden.py    # rewrite tests/golden.json
 
@@ -23,20 +24,25 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-import scipy
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+# One BLAS thread, as tests/conftest.py sets it, before numpy loads OpenBLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from curvflow.elliptic import newton_constrained
-from curvflow.flow import FlowConfig, normalize, run_flow, write_trace_csv
-from curvflow.gauss import run_gauss_flow
-from curvflow.manifold import build_torus_grid, load_off_mesh, product
-from curvflow.spectral import lambda1, lognormal_field
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # noqa: E402
+
+from curvflow.elliptic import newton_constrained  # noqa: E402
+from curvflow.flow import FlowConfig, normalize, run_flow, write_trace_csv  # noqa: E402
+from curvflow.gauss import run_gauss_flow  # noqa: E402
+from curvflow.manifold import build_torus_grid, load_off_mesh, product  # noqa: E402
+from curvflow.spectral import estimate_Y, lambda1, lognormal_field  # noqa: E402
 
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 sys.path.insert(0, str(TESTS))
@@ -80,6 +86,11 @@ def _circle128():
 def _torus32():
     man = build_torus_grid([32, 32], [TWO_PI, TWO_PI])
     return man, man.coordinates[:, 0]
+
+
+def _cube8():
+    """The 8^3 torus of side 2 pi."""
+    return build_torus_grid([8] * 3, [TWO_PI] * 3)
 
 
 def _icosphere(depth: int, z: float = 1.0):
@@ -143,6 +154,19 @@ def imex_s2_times_s1() -> dict:
     return _run(run_flow(man, np.full(man.node_count, 2.0), lognormal_field(man, (0, 0)), cfg))
 
 
+def imex_cube8() -> dict:
+    """imex on 8^3 at p = 5, c = 8, psi = 0.3 from the seed-0 log-normal start."""
+    man = _cube8()
+    cfg = FlowConfig(scheme="imex", dt0=1e-2, p=5.0, c=8.0, t_max=200.0)
+    return _run(run_flow(man, np.full(man.node_count, 0.3), lognormal_field(man, 0), cfg))
+
+
+def estimate_Y_cube8() -> dict:
+    """estimate_Y from 2 starts on 8^3 at p = 5, c = 8, psi = 2.5, with its default cfg."""
+    man = _cube8()
+    return {"Y": float.hex(estimate_Y(man, np.full(man.node_count, 2.5), 8.0, 5.0, n_starts=2))}
+
+
 def newton_icosphere3() -> dict:
     """newton_constrained at psi = -1, p = 3, c = 1 on icosphere(3) from the seed-0 start."""
     man = _icosphere(3)
@@ -174,7 +198,8 @@ def normalize_lognormal() -> dict:
 CASES = {f.__name__: f for f in (explicit_thm2, explicit_thm3, imex_thm2, imex_torus32,
                                  gauss_torus32, lambda1_cos, normalize_lognormal,
                                  explicit_icosphere3, explicit_flat_icosphere3,
-                                 imex_s2_times_s1, newton_icosphere3, lognormal_icosphere3)}
+                                 imex_s2_times_s1, newton_icosphere3, lognormal_icosphere3,
+                                 imex_cube8, estimate_Y_cube8)}
 
 
 def _ordinal(x: float) -> int:

@@ -16,15 +16,18 @@ for c S + diag(d) (imex Newton, lambda1).  _solve stops at a relative residual
 its caller may loosen: the imex Newton corrections pass a forcing tolerance and
 start from zero (x0 = None, whose residual is b with no matvec), lambda1 keeps
 1e-13 and starts from its iterate.  Only the oracle assembles the operator,
-into its bordered Jacobian.  A change to the discretization touches this file
-only.  _matvec forms every S x with scipy's csr_matvec kernel, skipping S @ x's
-dispatch (twice the kernel's cost at N = 128), reading n and S's arrays from
-the cached _csr at once; the kernel checks no bounds, so _matvec checks x.  The
-run loops' per-step extrema (flow's and gauss's steppers, the imex Newton loop,
-_solve's diagonal check) are _min and _max: x[x.argmin()] costs 0.3 us at
-N = 128 against 1.0 us for the reduction x.min(), and a zero extreme falls back
-to x.min(), so value, sign and NaN are the reduction's.  _edges keeps intp
-indices, so take() converts no int32 index array per call.
+into its bordered Jacobian.  _smoother solves with M + ell^2 S for the seeded
+start fields: exactly in the factors' eigenbases on a product, which keeps its
+leaf factors in _factors, and by one SuperLU factorization elsewhere.  A change
+to the discretization touches this file only.  _matvec forms every S x with
+scipy's csr_matvec kernel, skipping S @ x's dispatch (twice the kernel's cost
+at N = 128), reading n and S's arrays from the cached _csr at once; the kernel
+checks no bounds, so _matvec checks x.  The run loops' per-step extrema (flow's
+and gauss's steppers, the imex Newton loop, _solve's diagonal check) are _min
+and _max: x[x.argmin()] costs 0.3 us at N = 128 against 1.0 us for the
+reduction x.min(), and a zero extreme falls back to x.min(), so value, sign and
+NaN are the reduction's.  _edges keeps intp indices, so take() converts no
+int32 index array per call.
 
 Constructions: periodic circles (second-order differences), closed complexes of
 d-simplices (_simplicial: P1 FEM S, barycentric lumped M; load_off_mesh feeds it
@@ -41,11 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse.linalg import splu
 
 from .errors import (
     CurvFlowError,
@@ -84,6 +88,9 @@ class DiscreteManifold:
     mass: np.ndarray
     stiffness: sparse.csr_matrix
     dim: int
+
+    # product's leaf factors in C order; () for a manifold that product did not build
+    _factors = ()
 
     def __post_init__(self):
         # min and max allocate no temporaries, and a NaN anywhere propagates into both
@@ -133,6 +140,14 @@ class DiscreteManifold:
     @cached_property
     def _min_mass(self) -> float:
         return float(self.mass.min())
+
+    @cached_property
+    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        # (lam, V) with S V = M V diag(lam) and V^T M V = I, from a dense eigh of
+        # M^{-1/2} S M^{-1/2}: a product factor's share of _smoother
+        r = 1.0 / np.sqrt(self.mass)
+        lam, W = np.linalg.eigh(r[:, None] * self.stiffness.toarray() * r)
+        return lam, r[:, None] * W
 
     @cached_property
     def bbox_diameter(self) -> float:
@@ -246,6 +261,58 @@ def _solve(
     raise InnerSolverFailure(f"PCG stalled at residual {rnorm:.3e} (target {tol:.3e})")
 
 
+# Largest product factor _smoother diagonalizes.  A dense eigh takes 0.23 s at 1,024
+# nodes and 2.8 s at 2,562 (icosphere 4), where SuperLU factors icosphere(4) x S^1(3)
+# in 0.14 s; the cap keeps the eigh that replaces SuperLU under a quarter second.
+_EIGH_MAX_NODES = 1024
+
+
+def _smoother(man: DiscreteManifold, ell: float) -> Callable[[np.ndarray], np.ndarray]:
+    """b -> (M + ell^2 S)^{-1} b for a field b.
+
+    On a product of factors of at most _EIGH_MAX_NODES nodes it is exact in the
+    factors' eigenbases (Lynch, Rice & Thomas 1964):
+    V = (x)_k V_k has V^T M V = I and V^T S V = diag(sum_k lam_k), so the solve is
+    V diag(1 / (1 + ell^2 sum_k lam_k)) V^T b, one matrix product per factor each
+    way, with nothing assembled or factored.  Elsewhere it is one SuperLU
+    factorization of M + ell^2 S.  Raises CurvFlowError where M + ell^2 S
+    overflows, and where M is lost in rounding next to ell^2 S: SuperLU finds
+    that matrix singular, and the eigenbases, which cancel nothing, refuse it
+    alike where ell^2 max(S_ii / M_i) eps >= 1.
+    """
+    ell2 = ell * ell  # a Python float: inf on overflow, without a warning
+    overflows = f"smoother M + ell^2 S overflows at correlation length {ell:.3g}"
+    singular = f"smoother M + ell^2 S is singular at correlation length {ell:.3g}"
+    if man._factors and max(f.node_count for f in man._factors) <= _EIGH_MAX_NODES:
+        if not ell2 * man._max_stiffness_diagonal < math.inf:  # S >= 0: |S_ij| <= max S_ii
+            raise CurvFlowError(overflows)
+        with np.errstate(over="ignore"):  # an inf ratio fails the check
+            ratio = float((man._stiffness_diagonal / man.mass).max())
+        if ell2 * ratio * math.ulp(1.0) >= 1.0:
+            raise CurvFlowError(f"{singular}: M is lost next to ell^2 S")
+        lams, Vs = zip(*(f._eigenbasis for f in man._factors))
+        scale = 1.0 / (1.0 + ell2 * reduce(np.add.outer, lams).ravel())
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            # each product applies one factor along the leading axis and rotates it last
+            for V in Vs:
+                b = b.reshape(len(V), -1).T @ V
+            b = b.ravel() * scale
+            for V in Vs:
+                b = b.reshape(len(V), -1).T @ V.T
+            return b.ravel()
+
+        return solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        helm = (sparse.diags(man.mass) + ell2 * man.stiffness).tocsc()
+    if not np.all(np.isfinite(helm.data)):
+        raise CurvFlowError(overflows)
+    try:
+        return splu(helm).solve
+    except RuntimeError as exc:  # rows of ell^2 S that cancel to 0 next to M
+        raise CurvFlowError(f"{singular}: {exc}") from exc
+
+
 def integrate(man: DiscreteManifold, f: np.ndarray) -> float:
     """Mass-weighted sum, the discrete integral of f over the manifold."""
     f = _check_field(man, f)
@@ -299,8 +366,10 @@ def product(a: DiscreteManifold, b: DiscreteManifold) -> DiscreteManifold:
     coords = np.hstack([np.repeat(a.coordinates, nb, axis=0),
                         np.tile(b.coordinates, (a.node_count, 1))])
     S = sparse.coo_matrix((vals, (rows, cols)), shape=(len(coords),) * 2).tocsr()
-    return DiscreteManifold(coordinates=coords, mass=np.kron(a.mass, b.mass), stiffness=S,
-                            dim=a.dim + b.dim)
+    man = DiscreteManifold(coordinates=coords, mass=np.kron(a.mass, b.mass), stiffness=S,
+                           dim=a.dim + b.dim)
+    object.__setattr__(man, "_factors", (a._factors or (a,)) + (b._factors or (b,)))
+    return man
 
 
 def build_torus_grid(counts: Sequence[int], lengths: Sequence[float]) -> DiscreteManifold:

@@ -1,10 +1,16 @@
 import itertools
 import math
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads OpenBLAS: a ddot over more than 10,000
+# terms is split across threads, so its bits would follow the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from curvflow.manifold import build_torus_grid, load_off_mesh
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from curvflow.manifold import build_torus_grid, load_off_mesh  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,6 +164,13 @@ def octahedron(octahedron_path):
 def bipyramid(tmp_path_factory):
     path = tmp_path_factory.mktemp("mesh") / "bipyramid.off"
     path.write_text(BIPYRAMID_OFF)
+    return load_off_mesh(str(path))
+
+
+@pytest.fixture(scope="session")
+def icosphere2(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mesh") / "icosphere2.off"
+    write_off(path, *make_icosphere(2))
     return load_off_mesh(str(path))
 
 

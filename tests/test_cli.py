@@ -336,7 +336,11 @@ BAD_INPUTS = {
     "torus-step-inverse-overflow": lambda tmp: ("eigen", "--torus", "4:1e-310", "--psi", "1"),
     "torus-weight-overflow": lambda tmp: ("eigen", "--torus", "3:3e-300,3:3e300", "--psi", "1"),
     "torus-smoother-overflow": lambda tmp: ("run", "--torus", "8:1e200", "--psi", "-1"),
-    # M + ell^2 S is finite, but its short-side rows cancel to 0: SuperLU finds it singular
+    # the same on a product, whose smoother is diagonalized rather than factored
+    "torus-smoother-overflow-product": lambda tmp: ("run", "--torus", "8:1e200,8:1",
+                                                    "--psi", "-1"),
+    # M + ell^2 S is finite, but M is lost next to its short-side rows of ell^2 S, which
+    # cancel to 0: SuperLU would find it singular, and the product's smoother says so too
     "torus-smoother-singular": lambda tmp: ("run", "--torus", "3:1e50,3:1e-50", "--psi", "-1"),
     "sweep-smoother-singular": lambda tmp: ("sweep", "--torus", "3:1e50,3:1e-50", "--psi", "-1"),
     # overflow in the area integral or in K: the error line comes with no numpy warning
@@ -357,6 +361,7 @@ BAD_INPUT_NAMES = {"gauss-preset": "--preset",
                    "psi-deep-minus": "nests too deeply", "torus-step-zero": "N/L",
                    "torus-step-inverse-overflow": "N/L", "torus-weight-overflow": "stiffness",
                    "torus-smoother-overflow": "ell^2",
+                   "torus-smoother-overflow-product": "ell^2",
                    "torus-smoother-singular": "correlation length",
                    "sweep-smoother-singular": "correlation length",
                    "gauss-f-nan": "f = nan"}

@@ -24,10 +24,10 @@ import pytest
 
 from curvflow.elliptic import newton_constrained
 from curvflow.flow import STOP_CONVERGED, FlowConfig, default_c, run_flow, trace_column
-from curvflow.manifold import _simplicial, build_torus_grid, integrate, load_off_mesh, product
+from curvflow.manifold import _simplicial, build_torus_grid, integrate, product
 from curvflow.spectral import energy_E, lambda1, lognormal_field, y_sphere_constant
 
-from conftest import TWO_PI, make_icosphere, make_s3, write_off
+from conftest import TWO_PI, make_s3
 
 EPS = np.finfo(float).eps
 P = 5.0
@@ -79,16 +79,9 @@ def test_imex_on_the_round_s3_reaches_the_constant(a, sphere3):
     _imex_reaches_the_constant(sphere3, a)
 
 
-@pytest.fixture(scope="module")
-def sphere2(tmp_path_factory):
-    path = tmp_path_factory.mktemp("mesh") / "icosphere2.off"
-    write_off(path, *make_icosphere(2))
-    return load_off_mesh(str(path))
-
-
 @pytest.mark.parametrize("L", [5.0, 12.0])
-def test_imex_on_s2_times_s1(L, sphere2):
-    man = product(sphere2, build_torus_grid([16], [L]))
+def test_imex_on_s2_times_s1(L, icosphere2):
+    man = product(icosphere2, build_torus_grid([16], [L]))
     assert (man.node_count, man.dim, man.ambient_dim) == (2592, 3, 4)
     c = default_c(3)
     psi = np.full(man.node_count, 2.0)

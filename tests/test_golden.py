@@ -5,13 +5,9 @@ The bits depend on the numpy and scipy builds and on the SIMD kernels numpy
 dispatches to, so the file records those too, and a mismatch fails naming
 both sides rather than passing on a looser comparison.
 
-One case also depends on OpenBLAS's thread count, which the file does not
-record: imex_s2_times_s1's edge energy is a ddot over 10,272 terms, and
-OpenBLAS splits a ddot longer than 10,000 across its threads.  It was
-recorded at the default thread count of a 2-core box; with
-OPENBLAS_NUM_THREADS=1 it keeps its 77 steps and r_inf but its f and field
-differ in the last bits.  Every other case repeats bit for bit with the
-thread count at 1 and at 2.
+The bits also depend on OpenBLAS's thread count, since OpenBLAS splits a
+ddot of more than 10,000 terms (imex_s2_times_s1's edge energy has 10,272)
+across threads.  conftest.py and the recording script both pin one thread.
 """
 
 import importlib.util

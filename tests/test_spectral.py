@@ -5,7 +5,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from curvflow import flow as flowmod
-from curvflow import spectral
+from curvflow import manifold, spectral
 from curvflow.errors import (
     ConfigError,
     CurvFlowError,
@@ -21,7 +21,7 @@ from curvflow.flow import (
     STOP_TMAX,
     FlowConfig,
 )
-from curvflow.manifold import integrate
+from curvflow.manifold import build_torus_grid, integrate, product
 from curvflow.spectral import (
     _AMPLITUDE,
     _CORR_FRACTION,
@@ -221,15 +221,52 @@ def test_relax_many_yields_each_start_in_order(circle64, monkeypatch):
 
 def test_relax_many_factors_the_smoother_once(circle64, monkeypatch):
     calls = []
-    inner = spectral.splu
+    inner = manifold.splu
 
     def counted(a):
         calls.append(a.shape)
         return inner(a)
 
-    monkeypatch.setattr(spectral, "splu", counted)
+    monkeypatch.setattr(manifold, "splu", counted)
     pairs = list(relax_many(circle64, -np.ones(64), FlowConfig(t_max=0.01), 4, seed=2))
     assert len(pairs) == 4 and calls == [(64, 64)]
+
+
+def test_relax_many_on_a_product_diagonalizes_each_factor_once(monkeypatch):
+    man = build_torus_grid([8, 9, 10], [TWO_PI, 5.0, 3.0])
+    calls = []
+    inner = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    def no_splu(a):
+        raise AssertionError("a product's smoother factored M + ell^2 S")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(manifold, "splu", no_splu)
+    cfg = FlowConfig(scheme="imex", dt0=1e-2, t_max=0.05)
+    for _ in range(2):  # the second call finds every eigenbasis cached on its factor
+        pairs = list(relax_many(man, -np.ones(man.node_count), cfg, 4, seed=2))
+        assert len(pairs) == 4 and calls == [(8, 8), (9, 9), (10, 10)]
+
+
+def test_a_product_with_a_factor_past_the_cap_factors_the_smoother(monkeypatch):
+    man = product(circle(manifold._EIGH_MAX_NODES + 1), circle(3))
+    calls = []
+    inner = manifold.splu
+
+    def counted(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    def no_eigh(a):
+        raise AssertionError("a factor past the cap was diagonalized")
+
+    monkeypatch.setattr(manifold, "splu", counted)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert lognormal_field(man, 1).min() > 0 and calls == [(man.node_count,) * 2]
 
 
 # Starts that stop at different steps, for different reasons: max_steps
@@ -338,20 +375,33 @@ def test_lognormal_field_contract(circle128):
     assert not np.array_equal(t1, t2)
 
 
-def test_lognormal_field_on_a_mesh(icosphere3):
-    man = icosphere3
-    u = lognormal_field(man, 4)
-    assert u.min() > 0
-    np.testing.assert_array_equal(u, lognormal_field(man, 4))
-    # the same field from two spsolve calls, each factoring the smoother anew
-    g = np.random.default_rng(4).standard_normal(man.node_count)
+def _spsolve_field(man, seed):
+    """lognormal_field from two spsolve calls, each factoring the assembled smoother anew."""
+    g = np.random.default_rng(seed).standard_normal(man.node_count)
     ell = _CORR_FRACTION * man.bbox_diameter
     helm = (sparse.diags(man.mass) + ell * ell * man.stiffness).tocsc()
     for _ in range(2):
         g = spsolve(helm, man.mass * g)
     g = g - integrate(man, g) / man.volume
-    want = np.exp(_AMPLITUDE * (g / np.sqrt(integrate(man, g * g) / man.volume)))
-    assert np.array_equal(u, want)
+    return np.exp(_AMPLITUDE * (g / np.sqrt(integrate(man, g * g) / man.volume)))
+
+
+def test_lognormal_field_on_a_mesh(icosphere3):
+    man = icosphere3
+    u = lognormal_field(man, 4)
+    assert u.min() > 0
+    np.testing.assert_array_equal(u, lognormal_field(man, 4))
+    assert np.array_equal(u, _spsolve_field(man, 4))
+
+
+@pytest.mark.parametrize("mesh", ["cube8", "s2_times_s1"])
+def test_lognormal_field_on_a_product(mesh, icosphere2):
+    man = (build_torus_grid([8] * 3, [TWO_PI] * 3) if mesh == "cube8"
+           else product(icosphere2, build_torus_grid([16], [5.0])))
+    u = lognormal_field(man, 4)
+    np.testing.assert_array_equal(u, lognormal_field(man, 4))
+    want = _spsolve_field(man, 4)
+    assert np.max(np.abs(u - want) / want) <= 1e-12
 
 
 def test_lognormal_field_smooth(circle256):
