@@ -3,7 +3,9 @@
 
 Each case is a run (or a single call) whose every output bit is pinned:
 the step count and stop reason, r_inf and the final f as float.hex, and
-the sha256 of the final field's bytes and of the trace CSV.  The file also
+the sha256 of the final field's bytes and of the trace CSV.  The cli_*
+cases run curvflow.cli.main in process and pin its exit code, its stdout
+and the sha256 of what it wrote to --out.  The file also
 stores the numpy and scipy versions and numpy's CPU dispatch targets,
 since a different build may round differently; the test fails naming them
 on a mismatch.  It runs with one BLAS thread, as the tests do: OpenBLAS
@@ -20,6 +22,8 @@ steps and in ulps of r_inf, in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -38,6 +42,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # noqa: E402
 
+from curvflow import cli  # noqa: E402
 from curvflow.elliptic import newton_constrained  # noqa: E402
 from curvflow.flow import FlowConfig, normalize, run_flow, write_trace_csv  # noqa: E402
 from curvflow.gauss import run_gauss_flow  # noqa: E402
@@ -195,11 +200,48 @@ def normalize_lognormal() -> dict:
     return {"field_sha256": _sha(normalize(man, lognormal_field(man, 0), 3.0).tobytes())}
 
 
+def _cli(*argv: str) -> dict:
+    """cli.main(argv) in process, with --out (but for eigen) in a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        path = Path(tmp) / "out.csv"
+        code = cli.main([*argv] if argv[0] == "eigen" else [*argv, "--out", str(path)])
+        written = _sha(path.read_bytes()) if path.exists() else None
+    return {"exit": code, "stdout": out.getvalue(), "out_sha256": written}
+
+
+_T = f"{TWO_PI!r}"
+# Every subcommand, both presets (thm3 for its start field) under a flag that
+# overrides them, every budget flag set at once, --max-steps 0, --c auto, and
+# a positivity failure's exit 2; each runs in well under a second.
+CLI_CASES = {
+    "cli_run_thm2_max_steps": ("run", "--preset", "thm2", "--max-steps", "2000"),
+    "cli_run_thm2_zero_steps": ("run", "--preset", "thm2", "--max-steps", "0"),
+    "cli_run_thm3_start": ("run", "--preset", "thm3", "--max-steps", "3000"),
+    "cli_oracle_thm3": ("oracle", "--preset", "thm3", "--max-steps", "3000"),
+    "cli_eigen_thm2": ("eigen", "--preset", "thm2"),
+    "cli_eigen_c2": ("eigen", "--torus", f"64:{_T}", "--psi", "cos(x1)", "--c", "2"),
+    "cli_gauss_torus16": ("gauss", "--torus", f"16:{_T},16:{_T}", "--psi", "0.3*cos(x1)",
+                          "--tmax", "0.5"),
+    "cli_sweep_circle32": ("sweep", "--torus", f"32:{_T}", "--psi", "-1", "--starts", "2",
+                           "--seed", "7", "--tmax", "5"),
+    "cli_run_every_budget_flag": ("run", "--torus", f"64:{_T}", "--psi", "-1 + 0.3*cos(x1)",
+                                  "--p", "4", "--c", "2", "--scheme", "imex", "--dt0", "5e-3",
+                                  "--safety", "0.5", "--tmax", "3", "--max-steps", "500",
+                                  "--tol-f", "1e-12", "--tol-res", "1e-9", "--trace-every", "7",
+                                  "--seed", "3"),
+    "cli_run_cube8_c_auto": ("run", "--torus", f"8:{_T},8:{_T},8:{_T}", "--psi", "0.3",
+                             "--p", "5", "--c", "auto", "--scheme", "imex", "--max-steps", "20"),
+    "cli_run_positivity": ("run", "--torus", f"64:{_T}", "--psi", "-1", "--seed", "1",
+                           "--dt0", "10", "--safety", "50"),
+}
+
+
 CASES = {f.__name__: f for f in (explicit_thm2, explicit_thm3, imex_thm2, imex_torus32,
                                  gauss_torus32, lambda1_cos, normalize_lognormal,
                                  explicit_icosphere3, explicit_flat_icosphere3,
                                  imex_s2_times_s1, newton_icosphere3, lognormal_icosphere3,
                                  imex_cube8, estimate_Y_cube8)}
+CASES.update({name: functools.partial(_cli, *argv) for name, argv in CLI_CASES.items()})
 
 
 def _ordinal(x: float) -> int:
