@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -378,12 +378,13 @@ def build_torus_grid(counts: Sequence[int], lengths: Sequence[float]) -> Discret
     prod_k h_k, and weight (prod_{j != k} h_j) / h_k on each periodic neighbor
     pair along dimension k, the standard second-order central Laplacian.  All
     weights are positive, so S is symmetric, PSD and has zero row sums.  A mass that
-    over- or underflows, or a weight that overflows, fails DiscreteManifold's check."""
+    over- or underflows, or a weight that overflows, fails DiscreteManifold's check.
+    Equal sides share one circle, and with it one cached _eigenbasis."""
     counts, lengths = list(counts), list(lengths)
     if len(counts) == 0 or len(counts) != len(lengths):
         raise InvalidGridSpec(f"need equally many counts and lengths, "
                               f"got {len(counts)} and {len(lengths)}")
-    return reduce(product, map(_circle, counts, lengths))
+    return reduce(product, map(cache(_circle), counts, lengths))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf/NaN fail the checks here or DiscreteManifold's

@@ -72,6 +72,8 @@ def test_grid_spec_errors():
         build_torus_grid([8], [-1.0])
     with pytest.raises(InvalidGridSpec):
         build_torus_grid([], [])
+    with pytest.raises(InvalidGridSpec, match="length"):  # the first bad side raises first
+        build_torus_grid([8, 2, 8], [-1.0, 1.0, -1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # each error must come without a RuntimeWarning
         with pytest.raises(InvalidGridSpec, match="N/L"):

@@ -252,6 +252,19 @@ def test_relax_many_on_a_product_diagonalizes_each_factor_once(monkeypatch):
         assert len(pairs) == 4 and calls == [(8, 8), (9, 9), (10, 10)]
 
 
+def test_equal_torus_sides_share_one_eigenbasis(monkeypatch):
+    calls = []
+    inner = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert lognormal_field(build_torus_grid([8] * 3, [TWO_PI] * 3), 0).min() > 0
+    assert calls == [(8, 8)]
+
+
 def test_a_product_with_a_factor_past_the_cap_factors_the_smoother(monkeypatch):
     man = product(circle(manifold._EIGH_MAX_NODES + 1), circle(3))
     calls = []
