@@ -11,8 +11,11 @@ Exit codes: 0 on a completed run (Converged / TmaxReached / MaxSteps),
 2 when a flow dies of positivity failure (sweep: when any start does,
 after printing every row), 1 on usage, parse or input errors.  The
 CURVFLOW_LOG environment variable (quiet|info|debug) sets log verbosity.
-Identical command line + seed gives byte-identical trace files.
+Identical command line, seed and BLAS thread count give byte-identical
+trace files (OpenBLAS splits a dot of over 10,000 terms across threads;
+OPENBLAS_NUM_THREADS=1 pins the count).
 
+A flag not given keeps its FlowConfig default (gauss: --dt0 1e-3).
 --preset NAME stands for the flag values in PRESETS[NAME]; flags given
 on the command line win over them, and a preset that fixes the manifold
 takes no --torus or --off.  gauss takes no --preset: every preset is 1-D.
@@ -21,6 +24,7 @@ takes no --torus or --off.  gauss takes no --preset: every preset is 1-D.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -89,25 +93,25 @@ def _add_problem_args(p: argparse.ArgumentParser, presets: bool = True) -> None:
     p.add_argument("--psi", help="potential expression over x1..xn")
 
 
-def _add_budget_args(p: argparse.ArgumentParser, dt0: float) -> None:
-    """The step, time and trace flags that run, oracle, sweep and gauss share."""
-    p.add_argument("--dt0", type=float, default=dt0)
-    p.add_argument("--safety", type=float, default=0.25)
-    p.add_argument("--tmax", type=float, default=100.0)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--tol-f", type=float, default=1e-10)
-    p.add_argument("--tol-res", type=float, default=1e-8)
+def _add_budget_args(p: argparse.ArgumentParser) -> None:
+    """The step, time and trace flags that run, oracle, sweep and gauss share;
+    each dest is its FlowConfig field."""
+    p.add_argument("--dt0", type=float)
+    p.add_argument("--safety", type=float)
+    p.add_argument("--tmax", type=float, dest="t_max", metavar="TMAX")
+    p.add_argument("--max-steps", type=int)
+    p.add_argument("--tol-f", type=float)
+    p.add_argument("--tol-res", type=float)
     p.add_argument("--out", help="write the trace CSV here (sweep: its per-start rows)")
-    p.add_argument("--trace-every", type=int, default=1)
+    p.add_argument("--trace-every", type=int)
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     _add_problem_args(p)
-    p.add_argument("--p", type=float, default=3.0, help="nonlinearity exponent (> 1)")
-    p.add_argument("--c", default="1",
-                   help="diffusion coefficient, or 'auto' for 4(n-1)/(n-2) (n >= 3)")
-    p.add_argument("--scheme", choices=["explicit", "imex"], default="explicit")
-    _add_budget_args(p, dt0=1e-2)
+    p.add_argument("--p", type=float, help="nonlinearity exponent (> 1)")
+    p.add_argument("--c", help="diffusion coefficient, or 'auto' for 4(n-1)/(n-2) (n >= 3)")
+    p.add_argument("--scheme", choices=["explicit", "imex"])
+    _add_budget_args(p)
     p.add_argument("--seed", type=_seed, default=0)
 
 
@@ -147,28 +151,18 @@ def resolve_c(raw: str, man: DiscreteManifold) -> float:
     return value
 
 
-def resolve_problem(args) -> tuple[DiscreteManifold, np.ndarray, float, float]:
-    """Manifold, psi, p and c of a subcommand, in that order; eigen and
-    gauss, which lack --p (and gauss --c), get the defaults 3 and 1."""
+def resolve_problem(args) -> tuple[DiscreteManifold, np.ndarray, flow.FlowConfig]:
+    """Manifold, psi and FlowConfig of a subcommand: the config takes each field
+    whose flag was given (c through resolve_c) and keeps its default for the rest."""
     man = build_manifold(args)
     if args.psi is None:
         fix = " (or a --preset that fixes it)" if "preset" in args else ""
         raise CliUsageError(f"specify --psi{fix}")
     psi = evaluate(parse(args.psi), man)
-    return man, psi, getattr(args, "p", 3.0), resolve_c(getattr(args, "c", "1"), man)
-
-
-def _flow_config(args, **fields) -> flow.FlowConfig:
-    return flow.FlowConfig(
-        dt0=args.dt0,
-        safety=args.safety,
-        tol_f=args.tol_f,
-        tol_res=args.tol_res,
-        t_max=args.tmax,
-        max_steps=args.max_steps,
-        trace_every=args.trace_every,
-        **fields,
-    )
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(flow.FlowConfig)}
+    if given["c"] is not None:
+        given["c"] = resolve_c(given["c"], man)
+    return man, psi, flow.FlowConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _output(path: str | None):
@@ -191,8 +185,7 @@ def _traced(path: str | None, run) -> flow.FlowResult:
 def _flow_run(args) -> tuple[DiscreteManifold, np.ndarray, flow.FlowConfig, flow.FlowResult]:
     """The flow of run and oracle: from the preset's start field or the seeded
     log-normal field, with its trace written to --out."""
-    man, psi, p, c = resolve_problem(args)
-    cfg = _flow_config(args, scheme=args.scheme, p=p, c=c)
+    man, psi, cfg = resolve_problem(args)
     start = getattr(args, "start", None)
     u0 = evaluate(parse(start), man) if start else spectral.lognormal_field(man, args.seed)
     return man, psi, cfg, _traced(args.out, lambda: flow.run_flow(man, psi, u0, cfg))
@@ -217,8 +210,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    man, psi, _, c = resolve_problem(args)
-    res = spectral.lambda1(man, psi, c=c)
+    man, psi, cfg = resolve_problem(args)
+    res = spectral.lambda1(man, psi, c=cfg.c)
     print(f"lambda1={res.lambda1:.12g} residual={res.residual:.3e} "
           f"iterations={res.iterations}")
     return 0
@@ -239,9 +232,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    man, psi, _, _ = resolve_problem(args)
+    man, psi, cfg = resolve_problem(args)
     u0 = np.zeros(man.node_count)
-    result = _traced(args.out, lambda: gauss.run_gauss_flow(man, psi, u0, _flow_config(args)))
+    result = _traced(args.out, lambda: gauss.run_gauss_flow(man, psi, u0, cfg))
     last = result.trace[-1]
     print(f"stop={result.stop} r={result.r_infinity:.10g} f={last.f:.6g} "
           f"area_drift={last.norm_err:.3e} steps={last.step}")
@@ -249,8 +242,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    man, psi, p, c = resolve_problem(args)
-    cfg = _flow_config(args, scheme=args.scheme, p=p, c=c)
+    man, psi, cfg = resolve_problem(args)
     starts = spectral.relax_many(man, psi, cfg, args.starts, args.seed)
     lines = ["start,r_final,E_final,stop"]
     best = math.inf
@@ -265,8 +257,7 @@ def cmd_sweep(args) -> int:
     return 2 if failed else 0
 
 
-def _build_parser(preset: dict) -> _Parser:
-    """The parser, with the preset's values as every subcommand's defaults."""
+def _build_parser() -> _Parser:
     top = _Parser(prog="curvflow", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
@@ -277,7 +268,7 @@ def _build_parser(preset: dict) -> _Parser:
 
     p_eigen = sub.add_parser("eigen", help="ground eigenvalue of the potential")
     _add_problem_args(p_eigen)
-    p_eigen.add_argument("--c", default="1")
+    p_eigen.add_argument("--c")
     p_eigen.set_defaults(func=cmd_eigen)
 
     p_oracle = sub.add_parser("oracle", help="flow limit vs constrained Newton")
@@ -286,29 +277,26 @@ def _build_parser(preset: dict) -> _Parser:
 
     p_gauss = sub.add_parser("gauss", help="two-dimensional log-conformal flow")
     _add_problem_args(p_gauss, presets=False)
-    _add_budget_args(p_gauss, dt0=1e-3)
-    p_gauss.set_defaults(func=cmd_gauss)
+    _add_budget_args(p_gauss)
+    p_gauss.set_defaults(func=cmd_gauss, dt0=1e-3)
 
     p_sweep = sub.add_parser("sweep", help="multistart relaxation sweep")
     _add_run_args(p_sweep)
     p_sweep.add_argument("--starts", type=int, default=8)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    for p in sub.choices.values():
-        p.set_defaults(**preset)
     return top
 
 
 def _parse_args(argv: list[str] | None):
-    """argv parsed once, then again with --preset's values as defaults, so
-    the flags given win over the preset's."""
-    args = _build_parser({}).parse_args(argv)
-    preset = PRESETS.get(getattr(args, "preset", None))
-    if not preset:
-        return args
+    """argv parsed, then --preset's values set where argv left a value unset."""
+    args = _build_parser().parse_args(argv)
+    preset = PRESETS.get(getattr(args, "preset", None), {})
     if preset.keys() & {"torus", "off"} and (args.torus or args.off):
         raise CliUsageError("--preset already fixes the manifold")
-    return _build_parser(preset).parse_args(argv)
+    for name, value in preset.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, value)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -165,7 +165,7 @@ def test_preset_thm3_starts_from_the_bump(tmp_path, capsys, monkeypatch):
 def test_every_preset_field_is_read():
     # a preset names flags (by argparse dest) of a subcommand that takes
     # --preset, or the start field of run and oracle; nothing else is read
-    parser = cli._build_parser({})
+    parser = cli._build_parser()
     dests = {"start"}
     for command in ("run", "eigen", "oracle", "gauss", "sweep"):
         names = vars(parser.parse_args([command]))
@@ -173,6 +173,57 @@ def test_every_preset_field_is_read():
             dests |= set(names) - {"command", "func"}
     for name, preset in cli.PRESETS.items():
         assert set(preset) <= dests, name
+
+
+@pytest.mark.parametrize("command", ["run", "eigen", "oracle", "gauss", "sweep"])
+def test_flags_not_given_keep_the_flow_config_defaults(command):
+    args = cli._parse_args([command, "--torus", "4:1,4:1,4:1", "--psi", "1"])
+    cfg = cli.resolve_problem(args)[2]
+    want = flow.FlowConfig(dt0=1e-3) if command == "gauss" else flow.FlowConfig()
+    assert cfg == want  # pytest lists the fields that differ
+    if command != "gauss":  # the one subcommand without --c
+        args = cli._parse_args([command, "--torus", "4:1,4:1,4:1", "--psi", "1", "--c", "auto"])
+        assert cli.resolve_problem(args)[2] == flow.FlowConfig(dt0=want.dt0, c=8.0)
+
+
+def test_every_budget_flag_reaches_the_flow_config():
+    args = cli._parse_args(["run", "--preset", "thm2", "--scheme", "imex", "--dt0", "0.5",
+                            "--safety", "0.75", "--tmax", "2", "--max-steps", "0",
+                            "--tol-f", "1e-3", "--tol-res", "1e-4", "--trace-every", "3",
+                            "--p", "4", "--c", "2"])
+    assert cli.resolve_problem(args)[2] == flow.FlowConfig(
+        scheme="imex", dt0=0.5, safety=0.75, tol_f=1e-3, tol_res=1e-4, t_max=2.0,
+        max_steps=0, trace_every=3, p=4.0, c=2.0)
+
+
+def test_a_preset_fills_only_what_argv_left_unset(capsys, monkeypatch):
+    parses = []
+    inner = cli._Parser.parse_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(args)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", counted)
+    args = cli._parse_args(["run", "--preset", "thm2", "--psi", "0"])
+    assert len(parses) == 1  # argv is parsed once, preset or not
+    man, psi, _ = cli.resolve_problem(args)
+    assert args.torus == cli.PRESETS["thm2"]["torus"] and man.node_count == 128
+    assert not psi.any()
+    assert cli._parse_args(["run", "--preset", "thm3"]).start == cli.PRESETS["thm3"]["start"]
+    monkeypatch.delenv("CURVFLOW_LOG", raising=False)
+    assert cli.main(["run", "--preset", "thm2", "--torus", "8:1"]) == 1
+    assert capsys.readouterr().err == "error: --preset already fixes the manifold\n"
+
+
+def test_psi_with_a_leading_minus_takes_the_equals_form(capsys, monkeypatch):
+    # argparse reads a bare "-cos(x1)" as an option, so --psi gets no value;
+    # only plain negative numbers such as -1 pass bare
+    monkeypatch.delenv("CURVFLOW_LOG", raising=False)
+    argv = ["run", "--torus", f"16:{TWO_PI_STR}", "--max-steps", "1"]
+    assert _main(capsys, *argv, "--psi=-cos(x1)")[0] == 0
+    assert cli.main([*argv, "--psi", "-cos(x1)"]) == 1
+    assert capsys.readouterr().err == "error: argument --psi: expected one argument\n"
 
 
 @pytest.mark.parametrize("argv", [
