@@ -52,7 +52,7 @@ class CliUsageError(CurvFlowError):
 # negative constant potential, where the flow settles at the constant field
 # with r_inf = -sqrt(volume) for p = 3.  thm3: zero potential, where r decays
 # exponentially to zero.  Both live on the circle of circumference 2*pi with
-# 128 nodes and keep the default p = 3 and c = 1.
+# 128 nodes and keep FlowConfig's default p and c.
 _CIRCLE = f"128:{2.0 * math.pi!r}"  # repr parses back to 2*pi exactly
 PRESETS = {
     "thm2": {"torus": _CIRCLE, "psi": "-1"},
