@@ -60,13 +60,25 @@ PRESETS = {
 }
 
 
+class _Stderr(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is when the record is emitted."""
+
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
 def _setup_logging() -> None:
+    """Set the curvflow logger's level from CURVFLOW_LOG on every call, and give it one
+    stderr handler; the root logger is left as it is."""
     level = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
     name = os.environ.get("CURVFLOW_LOG", "quiet").lower()
     if name not in level:
         raise CliUsageError(f"CURVFLOW_LOG must be quiet|info|debug, got {name!r}")
-    logging.basicConfig(level=level[name], stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
+    log = logging.getLogger("curvflow")
+    log.setLevel(level[name])
+    if not any(isinstance(h, _Stderr) for h in log.handlers):
+        handler = _Stderr()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
 
 
 def _seed(text: str) -> int:

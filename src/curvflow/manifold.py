@@ -32,7 +32,12 @@ int32 index array per call.
 Constructions: periodic circles (second-order differences), closed complexes of
 d-simplices (_simplicial: P1 FEM S, barycentric lumped M; load_off_mesh feeds it
 OFF triangles), and product(a, b), the lumped tensor product S_a (x) diag(M_b) +
-diag(M_a) (x) S_b, M_a (x) M_b; a flat torus is a product of circles.  S = S^T,
+diag(M_a) (x) S_b, M_a (x) M_b; a flat torus is a product of circles.  Every
+test bed of dimension >= 3 is a product, so its assembly is the set-up cost at
+N = 10^6: product writes S's indptr, indices and data in place from the factors'
+sorted pairs, since that structure fixes each row's order (Lynch, Rice & Thomas
+1964), where COO triplets summed by tocsr took twice as long and twice the
+memory; the result is the same CSR matrix byte for byte.  S = S^T,
 S 1 = 0 and S >= 0 hold by construction and go unchecked: each weight goes to
 (i, j), (j, i) and both diagonals from one value; grid weights are >= 0; a mesh's
 S sums per-simplex Gram matrices vol B B^T; a product sums two PSD Kronecker
@@ -354,20 +359,119 @@ def _circle(N: int, L: float) -> DiscreteManifold:
     return DiscreteManifold(coordinates=(i * h)[:, None], mass=np.full(N, h), stiffness=S, dim=1)
 
 
+def _pairs(S: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S's stored (row, column) pairs in sorted order: their rows, their columns, and their
+    values with one row per rank of duplicate, in stored order, and -0.0 where a pair has
+    fewer (x + -0.0 is x, so adding the rows in turn sums duplicates in stored order)."""
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    cols, vals = S.indices.astype(np.intp), S.data
+    if S.has_canonical_format:
+        return rows, cols, vals[None]
+    order = np.lexsort((cols, rows))  # stable, so duplicates keep their stored order
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(rows), bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    pair = np.cumsum(first) - 1
+    rank = np.arange(len(rows)) - np.flatnonzero(first)[pair]
+    ranked = np.full((rank.max() + 1, pair[-1] + 1), -0.0)
+    ranked[rank, pair] = vals
+    return rows[first], cols[first], ranked
+
+
+def _offsets(base: np.ndarray, slope: np.ndarray, cls: np.ndarray, x: np.ndarray,
+             table: np.ndarray) -> np.ndarray:
+    """base[:, None] + slope[:, None] * x + table[cls], from one row per distinct (slope, cls)."""
+    key = slope * len(table) + cls
+    seen = np.bincount(key) > 0
+    uniq = np.flatnonzero(seen)
+    rows = (uniq // len(table))[:, None] * x + table[uniq % len(table)]
+    out = rows[(np.cumsum(seen) - 1)[key]]
+    out += base[:, None]
+    return out
+
+
 @np.errstate(over="ignore")  # an overflow is inf, which DiscreteManifold rejects
 def product(a: DiscreteManifold, b: DiscreteManifold) -> DiscreteManifold:
     """Lumped tensor product a x b: S = S_a (x) diag(M_b) + diag(M_a) (x) S_b, M = M_a (x) M_b,
-    nodes in C order (b's index fastest), coordinates [a's, b's], dimension dim_a + dim_b."""
-    A, B, nb = a.stiffness.tocoo(), b.stiffness.tocoo(), b.node_count
-    k, base = np.arange(nb), nb * np.arange(a.node_count)
-    vals = np.concatenate([np.kron(A.data, b.mass), np.kron(a.mass, B.data)])
-    rows = np.concatenate([np.add.outer(nb * A.row, k).ravel(), np.add.outer(base, B.row).ravel()])
-    cols = np.concatenate([np.add.outer(nb * A.col, k).ravel(), np.add.outer(base, B.col).ravel()])
-    coords = np.hstack([np.repeat(a.coordinates, nb, axis=0),
-                        np.tile(b.coordinates, (a.node_count, 1))])
-    S = sparse.coo_matrix((vals, (rows, cols)), shape=(len(coords),) * 2).tocsr()
-    man = DiscreteManifold(coordinates=coords, mass=np.kron(a.mass, b.mass), stiffness=S,
-                           dim=a.dim + b.dim)
+    nodes in C order (b's index fastest), coordinates [a's, b's], dimension dim_a + dim_b.
+
+    S is written straight into canonical CSR, sorting nothing: row (i, k) holds a's
+    off-diagonal pairs (i, j) with j < i (values a_ij M_b[k], columns j n_b + k), then b's row k
+    moved into block i (values M_a[i] b_kl) with a_ii M_b[k] added to its diagonal, then a's
+    pairs with j > i.  Each entry's place is base + slope x + table[class] over a few classes
+    of rows.  A stored zero stays stored, and a factor's duplicate pairs are summed in stored
+    order, a's terms before b's: bit for bit what summing the COO triplets with scipy's tocsr
+    gives wherever a row has at most 16 triplets (its sort is stable there).  Indices are int32
+    unless N or n_b nnz(S_a) + n_a nnz(S_b) exceeds int32, scipy's rule for those triplets.
+    """
+    na, nb = a.node_count, b.node_count
+    (ra, ca, va), (rb, cb, vb) = _pairs(a.stiffness), _pairs(b.stiffness)
+    offa, offb = ra != ca, rb != cb
+    ia, kb = ra[offa], rb[offb]  # rows of the off-diagonal pairs
+    oa, ob = np.bincount(ia, minlength=na), np.bincount(kb, minlength=nb)
+    la, lb = np.bincount(ra[ca < ra], minlength=na), np.bincount(rb[cb < rb], minlength=nb)
+    da, db = np.zeros(na, np.intp), np.zeros(nb, np.intp)  # 1 where the row stores its diagonal
+    da[ra[~offa]], db[rb[~offb]] = 1, 1
+    k = np.arange(nb)
+    # row (i, k) starts at bs[i] + k oa[i] + C[da[i], k], where C[d, k] counts b's pairs in
+    # rows before k plus a diagonal in each of them: in all (d = 1, a's row i stores one)
+    # or where b's row stores one (d = 0)
+    C = np.zeros((2, nb + 1), np.intp)
+    np.cumsum(ob + db, out=C[0, 1:])
+    np.cumsum(ob + 1, out=C[1, 1:])
+    bs = np.zeros(na + 1, np.intp)
+    np.cumsum(nb * oa + C[da, nb], out=bs[1:])
+    C, nnz, N = C[:, :nb], int(bs[na]), na * nb
+    big = max(N, nb * a.stiffness.nnz + na * b.stiffness.nnz) > np.iinfo(np.int32).max
+    idx = np.int64 if big else np.int32
+    indptr = np.empty(N + 1, idx)
+    indptr[:N] = _offsets(bs[:na], oa, da, k, C).ravel()
+    indptr[N] = nnz
+    indices, data = np.empty(nnz + 1, idx), np.empty(nnz + 1)  # and a spare slot
+
+    # a's off-diagonal pairs, each along every k; those right of the diagonal follow b's row
+    ce, te = ca[offa], np.arange(len(ia)) - np.searchsorted(ia, ia)
+    table = np.concatenate([C, C + ob + [db, np.ones(nb, np.intp)]])
+    pos = _offsets(bs[ia] + te, oa[ia], 2 * (ce > ia) + da[ia], k, table)
+    indices[pos] = (ce * nb).astype(idx)[:, None] + k.astype(idx)
+    vals = va[0, offa][:, None] * b.mass
+    for v in va[1:, offa]:
+        vals += v[:, None] * b.mass
+    data[pos] = vals
+
+    # b's off-diagonal pairs and then a diagonal per row, in every block i; the diagonal
+    # sums a's terms, then b's, with -0.0 for a factor's diagonal not stored (x + -0.0 is x);
+    # where neither factor stores it, the entry goes to the spare slot [nnz]
+    cq, uq = cb[offb], np.arange(len(kb)) - np.searchsorted(kb, kb)
+    q = len(kb)
+    table = np.array([np.concatenate([C[d, kb] + uq + (cq > kb) * (db[kb] | d), C[d] + lb])
+                      for d in (0, 1)])
+    pos = _offsets(bs[:na] + la, oa, da, np.concatenate([kb, k]), table)
+    pos[np.flatnonzero(da == 0)[:, None], q + np.flatnonzero(db == 0)] = nnz
+    indices[pos] = (np.arange(na, dtype=idx) * nb)[:, None] + np.concatenate([cq, k]).astype(idx)
+    vals = np.empty((na, q + nb))
+    np.multiply(a.mass[:, None], vb[0, offb], out=vals[:, :q])
+    for v in vb[1:, offb]:
+        vals[:, :q] += a.mass[:, None] * v
+    adiag, bdiag = np.full((len(va), na), -0.0), np.full((len(vb), nb), -0.0)
+    adiag[:, ra[~offa]], bdiag[:, rb[~offb]] = va[:, ~offa], vb[:, ~offb]
+    diag = adiag[0][:, None] * b.mass
+    for v in adiag[1:]:
+        diag += v[:, None] * b.mass
+    np.multiply(a.mass[:, None], bdiag[0], out=vals[:, q:])
+    vals[:, q:] += diag
+    for v in bdiag[1:]:
+        vals[:, q:] += a.mass[:, None] * v
+    data[pos] = vals
+
+    S = sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(N, N))
+    S.indices, S.indptr = indices[:nnz], indptr  # the constructor would narrow int64 that fits
+    S.has_canonical_format = True
+    wa = a.ambient_dim
+    coords = np.empty((na, nb, wa + b.ambient_dim), np.result_type(a.coordinates, b.coordinates))
+    coords[:, :, :wa], coords[:, :, wa:] = a.coordinates[:, None], b.coordinates
+    man = DiscreteManifold(coordinates=coords.reshape(N, -1), dim=a.dim + b.dim,
+                           mass=np.multiply.outer(a.mass, b.mass).ravel(), stiffness=S)
     object.__setattr__(man, "_factors", (a._factors or (a,)) + (b._factors or (b,)))
     return man
 

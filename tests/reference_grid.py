@@ -1,8 +1,10 @@
-"""The flat-torus grid assembled the direct n-dimensional way: every node
-indexed with np.indices, each neighbor found with np.roll along one axis.
+"""Independent assemblies that tests compare curvflow's grids and products against.
 
-This is the independent copy tests compare curvflow's product-of-circles
-build_torus_grid against; nothing here is imported from curvflow.
+torus_grid_arrays builds the flat-torus grid the direct n-dimensional way:
+every node indexed with np.indices, each neighbor found with np.roll along one
+axis.  coo_product_stiffness builds a product's S as COO triplets summed by
+scipy's tocsr, the assembly curvflow.manifold.product used before it wrote CSR
+directly.  Nothing here is imported from curvflow.
 """
 
 import numpy as np
@@ -39,3 +41,14 @@ def torus_grid_arrays(counts, lengths):
     ).tocsr()
     S.sum_duplicates()
     return coords, np.full(total, cellvol), S
+
+
+def coo_product_stiffness(Sa, Ma, Sb, Mb):
+    """S_a (x) diag(M_b) + diag(M_a) (x) S_b in C order (b's index fastest): every stored
+    entry of either term as a COO triplet, duplicates summed by coo_matrix.tocsr."""
+    A, B, nb = Sa.tocoo(), Sb.tocoo(), len(Mb)
+    k, base = np.arange(nb), nb * np.arange(len(Ma))
+    vals = np.concatenate([np.kron(A.data, Mb), np.kron(Ma, B.data)])
+    rows = np.concatenate([np.add.outer(nb * A.row, k).ravel(), np.add.outer(base, B.row).ravel()])
+    cols = np.concatenate([np.add.outer(nb * A.col, k).ravel(), np.add.outer(base, B.col).ravel()])
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(len(Ma) * nb,) * 2).tocsr()

@@ -1,8 +1,10 @@
 import io
+import logging
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -419,11 +421,45 @@ BAD_INPUT_NAMES = {"gauss-preset": "--preset",
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_gives_one_error_line(case, tmp_path):
-    res = run_cli(*BAD_INPUTS[case](tmp_path))
-    assert res.returncode == 1
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1, res.stderr
+def test_bad_input_gives_one_error_line(case, tmp_path, capsys, monkeypatch):
+    # in process: a warning that a fresh interpreter would print to stderr as lines of
+    # its own is recorded here instead, and must not occur
+    monkeypatch.delenv("CURVFLOW_LOG", raising=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for hidden in (DeprecationWarning, PendingDeprecationWarning):
+            warnings.simplefilter("ignore", hidden)
+        code = cli.main(list(BAD_INPUTS[case](tmp_path)))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    lines = err.splitlines()
+    assert len(lines) == 1, err
     assert lines[0].startswith("error:")
     assert BAD_INPUT_NAMES.get(case, "") in lines[0]
-    assert "Traceback" not in res.stderr
+    assert "Traceback" not in err
+
+
+def test_entry_point_exits_with_the_error_line():
+    # the one bad input still run as `python -m curvflow.cli`, for the exit status
+    res = run_cli(*BAD_INPUTS["p-below-1"](None))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("first,second", [("quiet", "info"), ("info", "quiet")])
+def test_every_main_call_applies_curvflow_log(first, second, capsys, monkeypatch):
+    argv = ["gauss", "--torus", "8:1,8:1", "--psi", "1", "--tmax", "0.01"]
+    log, root = logging.getLogger("curvflow"), logging.getLogger()
+    level, handlers, root_handlers = log.level, list(log.handlers), list(root.handlers)
+    try:
+        for name in (first, second):
+            monkeypatch.setenv("CURVFLOW_LOG", name)
+            assert cli.main(argv) == 0
+            err = capsys.readouterr().err
+            assert ("INFO curvflow.gauss: normalizing term" in err) == (name == "info"), err
+        assert sum(isinstance(h, cli._Stderr) for h in log.handlers) == 1
+        assert root.handlers == root_handlers
+    finally:
+        log.setLevel(level)
+        log.handlers[:] = handlers

@@ -43,7 +43,7 @@ from conftest import (
     write_off,
 )
 from reference_cotangent import cotangent_arrays
-from reference_grid import torus_grid_arrays
+from reference_grid import coo_product_stiffness, torus_grid_arrays
 
 EPS = np.finfo(float).eps
 
@@ -139,6 +139,78 @@ def test_torus_grid_is_the_index_assembly_bit_for_bit(counts, lengths):
 def test_torus_grid_is_the_index_assembly_to_an_ulp(counts, lengths):
     ulps, *equal = _grid_gaps(counts, lengths)
     assert 0.0 < ulps <= 1.0 and all(equal)
+
+
+def _factor(S, seed=0):
+    """A 1-D manifold on S as given, with masses drawn from seed."""
+    n = S.shape[0]
+    rng = np.random.default_rng(seed)
+    return DiscreteManifold(coordinates=np.arange(n, dtype=float)[:, None],
+                            mass=rng.uniform(0.5, 2.0, n), stiffness=S, dim=1)
+
+
+def _stored_zeros():
+    # a 6-circle with two stored zeros: +0.0 at (0, 1) and -0.0 on the diagonal at (1, 1)
+    S = circle(6).stiffness.copy()
+    S.data[[1, 4]] = 0.0, -0.0
+    return _factor(S)
+
+
+def _unsorted_with_duplicates():
+    # the 7-circle's entries shuffled within their rows, five of them stored twice
+    # more with other values and the diagonal (3, 3) three times more
+    rng = np.random.default_rng(1)
+    S = circle(7).stiffness.tocoo()
+    rows = np.concatenate([S.row, S.row[:5], S.row[:5], [3, 3, 3]])
+    cols = np.concatenate([S.col, S.col[:5], S.col[:5], [3, 3, 3]])
+    vals = np.concatenate([S.data, rng.standard_normal(13)])
+    order = np.lexsort((rng.random(len(rows)), rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=7))])
+    S = sparse.csr_matrix((vals[order], cols[order].astype(np.int32), indptr.astype(np.int32)),
+                          shape=(7, 7))
+    assert not S.has_sorted_indices
+    return _factor(S, seed=2)
+
+
+def _diagonal_missing():
+    # a 6-circle whose rows 2 and 4 store no diagonal
+    S = circle(6).stiffness.tolil()
+    S[2, 2] = S[4, 4] = 0.0
+    S = S.tocsr()
+    S.eliminate_zeros()
+    return _factor(S, seed=3)
+
+
+PRODUCT_CASES = {
+    "32x32": lambda request: [circle(32)] * 2,
+    "1000x3": lambda request: [circle(1000), circle(3)],
+    "1000x1000": lambda request: [circle(1000)] * 2,
+    "8x8x8": lambda request: [circle(8)] * 3,
+    "icosphere2_x_s1_5": lambda request: [request.getfixturevalue("icosphere2"), circle(5, 5.0)],
+    "bipyramid_x_s1_7": lambda request: [request.getfixturevalue("bipyramid"), circle(7, 3.0)],
+    "stored_zeros": lambda request: [_stored_zeros(), circle(4), _stored_zeros()],
+    "unsorted_duplicates": lambda request: [_unsorted_with_duplicates(), circle(5),
+                                            _unsorted_with_duplicates()],
+    "diagonal_missing": lambda request: [_diagonal_missing(), circle(3), _diagonal_missing()],
+}
+
+
+@pytest.mark.parametrize("case", list(PRODUCT_CASES))
+def test_product_stiffness_is_the_coo_assembly_byte_for_byte(case, request):
+    # each product, left to right, against the COO triplets summed by tocsr: indptr,
+    # indices and data byte for byte, their dtypes, and the canonical format
+    factors = PRODUCT_CASES[case](request)
+    man, S, M = factors[0], factors[0].stiffness, factors[0].mass
+    for f in factors[1:]:
+        man, S, M = product(man, f), coo_product_stiffness(S, M, f.stiffness, f.mass), np.kron(M, f.mass)
+        got = man.stiffness
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(S, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.has_canonical_format and S.has_canonical_format
+        assert man.mass.tobytes() == M.tobytes()
+    if case == "stored_zeros":
+        assert np.count_nonzero(man.stiffness.data == 0) > 0
 
 
 @settings(max_examples=25, deadline=None)
