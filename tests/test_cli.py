@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,15 +18,30 @@ from conftest import OCTAHEDRON_OFF, bump, circle, make_icosphere, write_off
 TWO_PI_STR = "6.283185307179586"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("CURVFLOW_LOG", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "curvflow.cli", *args],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """cli.main(args) in process, with CURVFLOW_LOG unset unless env_extra sets it: its
+    exit code, stdout and stderr.  The curvflow logger's level and handlers, which every
+    main call sets, are restored afterwards."""
+    log = logging.getLogger("curvflow")
+    level, handlers = log.level, list(log.handlers)
+
+    def run(*args, env_extra=None):
+        monkeypatch.delenv("CURVFLOW_LOG", raising=False)
+        for name, value in (env_extra or {}).items():
+            monkeypatch.setenv(name, value)
+        code = cli.main(list(args))
+        return CliRun(code, *capsys.readouterr())
+
+    yield run
+    log.setLevel(level)
+    log.handlers[:] = handlers
 
 
 def field(out, name):
@@ -34,7 +50,7 @@ def field(out, name):
     return m.group(1)
 
 
-def test_run_constant_negative_potential():
+def test_run_constant_negative_potential(run_cli):
     res = run_cli("run", "--torus", f"64:{TWO_PI_STR}", "--psi", "-1", "--p", "3",
                   "--tmax", "200")
     assert res.returncode == 0
@@ -46,7 +62,7 @@ def test_run_constant_negative_potential():
     int(field(res.stdout, "steps"))
 
 
-def test_run_preset_thm3_reports_decay():
+def test_run_preset_thm3_reports_decay(run_cli):
     res = run_cli("run", "--preset", "thm3")
     assert res.returncode == 0
     assert field(res.stdout, "stop") == "Converged"
@@ -59,20 +75,20 @@ def test_run_preset_thm3_reports_decay():
     assert float(field(res_oracle.stdout, "r_gap")) <= 1e-8
 
 
-def test_run_unknown_coordinate_is_input_error():
+def test_run_unknown_coordinate_is_input_error(run_cli):
     res = run_cli("run", "--psi", "cos(x2)", "--torus", "32:1")
     assert res.returncode == 1
     assert "error:" in res.stderr
 
 
-def test_run_positivity_failure_exit_code():
+def test_run_positivity_failure_exit_code(run_cli):
     res = run_cli("run", "--torus", f"64:{TWO_PI_STR}", "--psi", "-1",
                   "--seed", "1", "--dt0", "10", "--safety", "50")
     assert res.returncode == 2
     assert field(res.stdout, "stop") == "PositivityFailure"
 
 
-def test_usage_errors():
+def test_usage_errors(run_cli):
     for args in (
         ("run", "--psi", "-1"),                                   # no manifold
         ("run", "--preset", "thm2", "--torus", "8:1"),            # conflict
@@ -87,7 +103,7 @@ def test_usage_errors():
         assert "error:" in res.stderr.lower(), args
 
 
-def test_eigen_constant_potential():
+def test_eigen_constant_potential(run_cli):
     res = run_cli("eigen", "--torus", f"256:{TWO_PI_STR}", "--psi", "1")
     assert res.returncode == 0
     assert float(field(res.stdout, "lambda1")) == pytest.approx(1.0, abs=1e-10)
@@ -95,13 +111,13 @@ def test_eigen_constant_potential():
 
 
 @pytest.mark.parametrize("a", ["1e16", "-1e16", "1e200", "-1e200"])
-def test_eigen_huge_constant_potential(a):
+def test_eigen_huge_constant_potential(a, run_cli):
     res = run_cli("eigen", "--torus", f"64:{TWO_PI_STR}", f"--psi={a}")
     assert res.returncode == 0, res.stderr
     assert float(field(res.stdout, "lambda1")) == float(a)
 
 
-def test_eigen_off_mesh(octahedron_path, tmp_path):
+def test_eigen_off_mesh(octahedron_path, tmp_path, run_cli):
     res = run_cli("eigen", "--off", str(octahedron_path), "--psi", "2")
     assert res.returncode == 0
     assert float(field(res.stdout, "lambda1")) == pytest.approx(2.0, abs=1e-10)
@@ -113,12 +129,12 @@ def test_eigen_off_mesh(octahedron_path, tmp_path):
     assert float(field(res.stdout, "lambda1")) == pytest.approx(2.0, abs=1e-10)
 
 
-def test_eigen_missing_off_file():
+def test_eigen_missing_off_file(run_cli):
     res = run_cli("eigen", "--off", "/nonexistent/mesh.off", "--psi", "1")
     assert res.returncode == 1
 
 
-def test_oracle_preset_thm2(tmp_path):
+def test_oracle_preset_thm2(tmp_path, run_cli):
     out = tmp_path / "oracle.csv"
     res = run_cli("oracle", "--preset", "thm2", "--out", str(out))
     assert res.returncode == 0
@@ -259,7 +275,7 @@ def test_gauss_offers_no_preset(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: specify --psi\n"
 
 
-def test_gauss_run_reports_drift():
+def test_gauss_run_reports_drift(run_cli):
     res = run_cli("gauss", "--torus", f"32:{TWO_PI_STR},32:{TWO_PI_STR}",
                   "--psi", "0.3*cos(x1)", "--dt0", "2e-3", "--tmax", "2",
                   "--tol-f", "1e-300")
@@ -269,7 +285,7 @@ def test_gauss_run_reports_drift():
     assert int(field(res.stdout, "steps")) >= 1000
 
 
-def test_trace_file_format(tmp_path):
+def test_trace_file_format(tmp_path, run_cli):
     out = tmp_path / "trace.csv"
     res = run_cli("run", "--torus", f"64:{TWO_PI_STR}", "--psi", "-1",
                   "--tmax", "2", "--tol-f", "1e-300", "--trace-every", "10",
@@ -290,7 +306,7 @@ def test_trace_file_format(tmp_path):
             assert float_re.fullmatch(tok), tok
 
 
-def test_trace_byte_determinism(tmp_path):
+def test_trace_byte_determinism(tmp_path, run_cli):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
@@ -302,7 +318,7 @@ def test_trace_byte_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_sweep_determinism_and_bound(tmp_path):
+def test_sweep_determinism_and_bound(tmp_path, run_cli):
     outs = []
     stdouts = []
     for name in ("s1.csv", "s2.csv"):
@@ -322,7 +338,7 @@ def test_sweep_determinism_and_bound(tmp_path):
     assert y == pytest.approx(-np.sqrt(2.0 * np.pi), abs=1e-4)
 
 
-def test_sweep_positivity_failure_exit_code(tmp_path):
+def test_sweep_positivity_failure_exit_code(tmp_path, run_cli):
     out = tmp_path / "sweep.csv"
     res = run_cli("sweep", "--torus", f"32:{TWO_PI_STR}", "--psi", "-1", "--starts", "2",
                   "--dt0", "10", "--safety", "50", "--tmax", "10", "--out", str(out))
@@ -333,7 +349,7 @@ def test_sweep_positivity_failure_exit_code(tmp_path):
     assert np.isfinite(float(field(res.stdout, "Y_psi_upper")))
 
 
-def test_log_env_var():
+def test_log_env_var(run_cli):
     res = run_cli("eigen", "--torus", "32:1", "--psi", "0",
                   env_extra={"CURVFLOW_LOG": "bogus"})
     assert res.returncode == 1
@@ -441,8 +457,11 @@ def test_bad_input_gives_one_error_line(case, tmp_path, capsys, monkeypatch):
 
 
 def test_entry_point_exits_with_the_error_line():
-    # the one bad input still run as `python -m curvflow.cli`, for the exit status
-    res = run_cli(*BAD_INPUTS["p-below-1"](None))
+    # the one run of `python -m curvflow.cli` in a fresh interpreter, for the exit status
+    env = dict(os.environ)
+    env.pop("CURVFLOW_LOG", None)
+    res = subprocess.run([sys.executable, "-m", "curvflow.cli", *BAD_INPUTS["p-below-1"](None)],
+                         capture_output=True, text=True, env=env, timeout=300)
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 

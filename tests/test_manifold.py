@@ -43,7 +43,7 @@ from conftest import (
     write_off,
 )
 from reference_cotangent import cotangent_arrays
-from reference_grid import coo_product_stiffness, torus_grid_arrays
+from reference_grid import coo_product_stiffness, factorwise_edge_energy, torus_grid_arrays
 
 EPS = np.finfo(float).eps
 
@@ -647,23 +647,94 @@ def test_index_extrema_are_the_reductions_bit_for_bit(x):
         assert _same_float(got, float(want)), (x, got, want)
 
 
+# a product's form is summed over its factors; each case lists the factors in C order
+ENERGY_PRODUCTS = {
+    "torus2d": lambda request: [circle(32)] * 2,
+    "torus3d": lambda request: [circle(6, 1.0), circle(5, 2.5), circle(4, 3.0)],
+    "torus3d_odd": lambda request: [circle(3, 0.5), circle(7, 7.0), circle(5, 2.0)],
+    "s2_x_s1": lambda request: [request.getfixturevalue("icosphere2"), circle(5, 5.0)],
+    "s1_x_s2": lambda request: [circle(5, 5.0), request.getfixturevalue("icosphere2")],
+    "s1_x_mesh_x_s1": lambda request: [circle(4, 2.0), request.getfixturevalue("flat_icosphere3"),
+                                       circle(3, 1.0)],
+    "unsorted_duplicates": lambda request: [_unsorted_with_duplicates(), circle(5),
+                                            _unsorted_with_duplicates()],
+}
+
+
+def _energy_product(case, request):
+    factors = ENERGY_PRODUCTS[case](request)
+    man = factors[0]
+    for f in factors[1:]:
+        man = product(man, f)
+    return man, factors
+
+
+def _energy_fields(n):
+    rng = np.random.default_rng(4)
+    return rng.standard_normal(n), 1.0 + 1e-9 * rng.standard_normal(n), np.ones(n)
+
+
+def _assert_factorwise(man, factors):
+    """The form bit for bit the factor-wise reference, within 1e-14 of the flat sum over
+    S's own edges, and the global edge list never built."""
+    pairs = [(f.stiffness, f.mass) for f in factors]
+    T = sparse.triu(man.stiffness, k=1).tocoo()
+    for u in (*_energy_fields(man.node_count), np.exp(_energy_fields(man.node_count)[0])):
+        got = dirichlet_energy(man, u)
+        assert got.hex() == factorwise_edge_energy(pairs, u).hex()
+        d = u.take(T.row) - u.take(T.col)
+        assert got == pytest.approx(float((d * d).dot(-T.data)), rel=1e-14, abs=0.0)
+    assert "_edges" not in man.__dict__
+
+
 @pytest.mark.parametrize("mesh", ["torus2d", "torus3d", "bipyramid"])
 def test_edges_are_intp_and_keep_the_energy_bit_for_bit(mesh, request):
-    # the edge sum over sparse.triu's own int32 indices, in its order
-    if mesh == "torus3d":
-        man = build_torus_grid([6, 5, 4], [1.0, 2.5, 3.0])
-    else:
-        man = request.getfixturevalue(mesh)
+    # a manifold that is not a product sums over sparse.triu's own int32 indices, in its
+    # order; a product sums over its factors, each factor's edges intp
+    if mesh != "bipyramid":
+        man, factors = _energy_product(mesh, request)
+        assert all(f._edges[0].dtype == f._edges[1].dtype == np.intp for f in factors)
+        _assert_factorwise(man, factors)
+        return
+    man = request.getfixturevalue(mesh)
     ei, ej, w = man._edges
     assert ei.dtype == ej.dtype == np.intp
     T = sparse.triu(man.stiffness, k=1).tocoo()
     assert T.row.dtype == T.col.dtype == np.int32
-    rng = np.random.default_rng(4)
-    n = man.node_count
-    for u in (rng.standard_normal(n), 1.0 + 1e-9 * rng.standard_normal(n), np.ones(n)):
+    for u in _energy_fields(man.node_count):
         d = u.take(T.row) - u.take(T.col)
         want = float((d * d).dot(-T.data))
         assert dirichlet_energy(man, u).hex() == want.hex()
+
+
+@pytest.mark.parametrize("case", [c for c in ENERGY_PRODUCTS if c not in ("torus2d", "torus3d")])
+def test_product_energy_is_the_factorwise_sum(case, request):
+    # a mesh factor first, last and in the middle, a 3-torus of other sides, and a factor
+    # whose S stores duplicate pairs out of order
+    _assert_factorwise(*_energy_product(case, request))
+
+
+@pytest.mark.parametrize("case", list(ENERGY_PRODUCTS))
+def test_product_energy_is_zero_on_a_constant_nonnegative_and_shift_invariant(case, request):
+    man, _ = _energy_product(case, request)
+    n = man.node_count
+    assert dirichlet_energy(man, np.full(n, 3.7)) == 0.0
+    u = np.random.default_rng(11).standard_normal(n)
+    e = dirichlet_energy(man, u)
+    assert dirichlet_energy(man, u + 42.0) == pytest.approx(e, rel=1e-10)
+    if case not in ("s1_x_mesh_x_s1", "unsorted_duplicates"):  # all weights >= 0
+        assert e >= 0.0
+
+
+def test_a_flow_on_a_torus_never_builds_the_global_edge_list():
+    from curvflow.flow import FlowConfig, run_flow
+
+    man = build_torus_grid([8, 6], [TWO_PI, 3.0])
+    u = 1.0 + 0.2 * np.cos(man.coordinates[:, 0]) * np.sin(man.coordinates[:, 1])
+    for scheme in ("explicit", "imex"):
+        run_flow(man, np.full(man.node_count, -1.0), u, FlowConfig(scheme=scheme, max_steps=20))
+    assert "_edges" not in man.__dict__
+    assert all("_edges" in f.__dict__ for f in man._factors)
 
 
 # --- the SPD solve for c S + diag(d) ----------------------------------------
