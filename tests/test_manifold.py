@@ -679,7 +679,8 @@ def _assert_factorwise(man, factors):
     S's own edges, and the global edge list never built."""
     pairs = [(f.stiffness, f.mass) for f in factors]
     T = sparse.triu(man.stiffness, k=1).tocoo()
-    for u in (*_energy_fields(man.node_count), np.exp(_energy_fields(man.node_count)[0])):
+    fields = _energy_fields(man.node_count)
+    for u in (*fields, np.exp(fields[0])):
         got = dirichlet_energy(man, u)
         assert got.hex() == factorwise_edge_energy(pairs, u).hex()
         d = u.take(T.row) - u.take(T.col)
